@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage, 3 numerical (not positive definite),
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 from .baselines import capon_spectrum, correlation_match, cost_report
 from .correlation import (
     SpectralComposition,
+    _fmt,
     assemble,
     load_ndcorr,
     ndcorr_lines,
@@ -43,11 +45,6 @@ EXIT_IO = 4
 
 class UsageError(NdspecError):
     """Flag combination that parses but is semantically invalid."""
-
-
-def _fmt(x: float) -> str:
-    # negative zero collapses to 0.0 for stable text output
-    return repr(float(x) + 0.0)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -128,6 +125,8 @@ def _load_spectrum_csv(path) -> SpectrumEstimate:
         raise FileFormatError(f"{path}: malformed data row") from exc
     if any(len(row) != d + 1 for row in rows):
         raise FileFormatError(f"{path}: rows do not match the header width")
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise FileFormatError(f"{path}: non-finite value in a data row")
     counts = []
     for axis in range(d):
         values = sorted({row[axis] for row in rows})
@@ -171,7 +170,9 @@ def cmd_gen(args) -> int:
             planes=tuple(args.plane or ()),
             noise_var=args.noise,
         )
-        signal = synth_correlation(comp, args.gamma, symmetrize=args.symmetrize)
+        # powers whose sum overflows are refused by the finite-lag check
+        with np.errstate(over="ignore", invalid="ignore"):
+            signal = synth_correlation(comp, args.gamma, symmetrize=args.symmetrize)
     except (ValueError, DimensionMismatch) as exc:
         raise UsageError(str(exc)) from exc
     _write_lines(args.out, ndcorr_lines(signal))
@@ -184,8 +185,8 @@ def cmd_estimate(args) -> int:
         raise UsageError(
             f"--grid has {len(args.grid)} axes but the correlation file has {signal.d}"
         )
-    if args.ridge < 0:
-        raise UsageError("--ridge must be >= 0")
+    if not 0 <= args.ridge < math.inf:
+        raise UsageError(f"--ridge must be finite and >= 0, got {args.ridge}")
     if args.ridge > 0:
         signal = signal.with_ridge(args.ridge)
     grid = SpectralGridSpec(args.grid)

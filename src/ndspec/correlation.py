@@ -10,10 +10,18 @@ matrix R[i, j] = c(m(i) - m(j)) under a chosen dimension nesting.
 Spectral convention: the analysis kernel is e^{+j w n}, so a unit
 spectral mass at frequency f (cycles/sample) contributes e^{-j 2 pi f.t}
 to the lags, and a planted peak shows up at grid index round(f * C).
+
+Two index maps carry every transform between the lag box and an array
+cell: the index-difference gather of assembly (R = lags.take(gather))
+and the periodic wrap of lag t onto cell t mod C of a C-point axis.
+Sums over a grid of C points see lags only through t mod C, so a grid
+coarser than the lag box (C < 2 gamma - 1) aliases lags onto shared
+cells exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,23 +49,6 @@ def _fmt(x: float) -> str:
 
 
 @dataclass(frozen=True)
-class SignalTensor:
-    """Complex sample grid; axis i holds the samples of dimension i."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=complex)
-        if arr.ndim < 1 or arr.size < 1:
-            raise ValueError("sample tensor must be non-empty")
-        object.__setattr__(self, "samples", arr)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.samples.shape
-
-
-@dataclass(frozen=True)
 class CorrelationSignal:
     """Lag function on the box prod [-(gamma_i - 1), gamma_i - 1].
 
@@ -77,10 +68,12 @@ class CorrelationSignal:
         expected = tuple(2 * g - 1 for g in gamma)
         if arr.shape != expected:
             raise ValueError(f"lag array shape {arr.shape}, expected {expected}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("lag values must be finite")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "lags", arr)
         scale = float(np.max(np.abs(arr), initial=0.0))
-        mirrored = np.conj(arr[tuple(slice(None, None, -1) for _ in gamma)])
+        mirrored = np.conj(np.flip(arr))
         if np.max(np.abs(arr - mirrored), initial=0.0) > HERMITIAN_REL_TOL * max(scale, 1e-300):
             raise ValueError("lag values violate Hermitian symmetry c(-t) = conj(c(t))")
         center = arr[tuple(g - 1 for g in gamma)]
@@ -106,8 +99,8 @@ class CorrelationSignal:
 
     def with_ridge(self, eps: float) -> "CorrelationSignal":
         """Copy with eps * c(0) added at the zero lag (diagonal loading of R)."""
-        if eps < 0:
-            raise ValueError("ridge must be >= 0")
+        if not 0 <= eps < math.inf:
+            raise ValueError(f"ridge must be finite and >= 0, got {eps}")
         lags = self.lags.copy()
         lags[tuple(g - 1 for g in self.gamma)] += eps * self.zero_lag
         return CorrelationSignal(self.gamma, lags)
@@ -129,31 +122,35 @@ class CorrelationSignal:
         return cls((g,), lags)
 
 
-def _half_box(gamma) -> list[tuple[int, ...]]:
-    """Lag tuples that are lexicographically positive (first nonzero > 0)."""
-    zero = (0,) * len(gamma)
-    out = []
-    for idx in np.ndindex(*[2 * g - 1 for g in gamma]):
-        t = tuple(i - (g - 1) for i, g in zip(idx, gamma))
-        if t > zero:
-            out.append(t)
-    return out
+def _hermitian(lags) -> np.ndarray:
+    """Exactly Hermitian part (c(t) + conj(c(-t))) / 2 of a centered lag box.
 
-
-def _fill_hermitian(gamma, fill) -> np.ndarray:
-    """Build a lag array from values on the positive half box plus zero.
-
-    ``fill`` maps a lag tuple to a complex value; the negative half is the
-    exact conjugate of the positive half, and the zero lag is forced real.
+    Halving before the sum keeps lags near the top of the double range finite.
     """
-    offset = tuple(g - 1 for g in gamma)
-    lags = np.zeros(tuple(2 * g - 1 for g in gamma), dtype=complex)
-    lags[offset] = complex(fill((0,) * len(gamma))).real
-    for t in _half_box(gamma):
-        v = complex(fill(t))
-        lags[tuple(ti + o for ti, o in zip(t, offset))] = v
-        lags[tuple(o - ti for ti, o in zip(t, offset))] = v.conjugate()
-    return lags
+    return lags / 2 + np.conj(np.flip(lags)) / 2
+
+
+def _lag_gather(gamma, nesting: Nesting) -> np.ndarray:
+    """q x q flat lag-box index of m(i) - m(j): R = lags.take(gather).
+
+    m(.) maps a flat index to its per-dimension digits under the nesting;
+    the lag-box offset of a digit difference is the difference of the
+    digits' own offsets, shifted to the center.
+    """
+    spec = DimSpec(gamma)
+    st = strides(spec, nesting)
+    box = tuple(2 * g - 1 for g in spec.gamma)
+    flats = np.arange(spec.q)
+    slots = [nesting.slot_of(dim) for dim in range(spec.d)]
+    digits = tuple((flats // st.q[slot]) % st.extents[slot] for slot in slots)
+    offsets = np.ravel_multi_index(digits, box)
+    center = np.ravel_multi_index(tuple(g - 1 for g in spec.gamma), box)
+    return offsets[:, None] - offsets[None, :] + center
+
+
+def _wrap(gamma, counts) -> tuple[np.ndarray, ...]:
+    """Open-mesh index of the lag box on a periodic grid: lag t -> t mod C."""
+    return np.ix_(*[np.arange(1 - g, g) % c for g, c in zip(gamma, counts)])
 
 
 def estimate_correlation(x, gamma) -> CorrelationSignal:
@@ -161,10 +158,12 @@ def estimate_correlation(x, gamma) -> CorrelationSignal:
 
     The sum runs over every n with both n and n+t inside the sample box;
     N is the total sample count, which keeps the assembled matrix
-    positive semi-definite. Raises InsufficientData when some requested
-    order exceeds the sample count along its axis.
+    positive semi-definite. Computed as a circular FFT autocorrelation
+    zero-padded to n_i + gamma_i - 1 points per axis, where no stored lag
+    wraps. Raises InsufficientData when some requested order exceeds the
+    sample count along its axis.
     """
-    arr = x.samples if isinstance(x, SignalTensor) else np.asarray(x, dtype=complex)
+    arr = np.asarray(x, dtype=complex)
     if arr.ndim < 1:
         arr = arr.reshape(1)
     gamma = tuple(int(g) for g in gamma)
@@ -172,22 +171,18 @@ def estimate_correlation(x, gamma) -> CorrelationSignal:
         raise DimensionMismatch(
             f"{len(gamma)} orders for a {arr.ndim}-dimensional signal"
         )
-    dims = arr.shape
-    for axis, (g, n) in enumerate(zip(gamma, dims)):
+    for axis, (g, n) in enumerate(zip(gamma, arr.shape)):
         if g < 1:
             raise ValueError(f"orders must all be >= 1, got {gamma}")
         if g > n:
             raise InsufficientData(
                 f"order {g} exceeds the {n} samples along axis {axis}"
             )
-    total = arr.size
-
-    def fill(t):
-        shifted = arr[tuple(slice(max(ti, 0), n + min(ti, 0)) for ti, n in zip(t, dims))]
-        base = arr[tuple(slice(max(-ti, 0), n + min(-ti, 0)) for ti, n in zip(t, dims))]
-        return np.vdot(base, shifted) / total
-
-    return CorrelationSignal(gamma, _fill_hermitian(gamma, fill))
+    padded = tuple(n + g - 1 for n, g in zip(arr.shape, gamma))
+    axes = tuple(range(arr.ndim))
+    spectrum = np.fft.fftn(arr, padded, axes)
+    circular = np.fft.ifftn(spectrum * spectrum.conj(), axes=axes)
+    return CorrelationSignal(gamma, _hermitian(circular[_wrap(gamma, padded)] / arr.size))
 
 
 @dataclass(frozen=True)
@@ -212,19 +207,19 @@ class SpectralComposition:
         object.__setattr__(self, "planes", planes)
         object.__setattr__(self, "noise_var", float(self.noise_var))
         for fs, p in peaks:
-            if p <= 0:
-                raise ValueError("peak powers must be > 0")
+            if not 0 < p < math.inf:
+                raise ValueError(f"peak powers must be finite and > 0, got {p}")
             if any(not 0 <= f < 1 for f in fs):
                 raise ValueError(f"peak frequencies must lie in [0, 1), got {fs}")
         for axis, f, p in planes:
-            if p <= 0:
-                raise ValueError("plane powers must be > 0")
+            if not 0 < p < math.inf:
+                raise ValueError(f"plane powers must be finite and > 0, got {p}")
             if axis < 0:
                 raise ValueError("plane axis must be >= 0")
             if not 0 <= f < 1:
                 raise ValueError(f"plane frequency must lie in [0, 1), got {f}")
-        if self.noise_var < 0:
-            raise ValueError("noise variance must be >= 0")
+        if not 0 <= self.noise_var < math.inf:
+            raise ValueError(f"noise variance must be finite and >= 0, got {self.noise_var}")
 
     def mirrored(self) -> "SpectralComposition":
         """Composition with the conjugate mirror of every component added."""
@@ -260,18 +255,16 @@ def synth_correlation(comp: SpectralComposition, gamma,
     if symmetrize:
         comp = comp.mirrored()
 
-    def fill(t):
-        acc = 0j
-        for fs, power in comp.peaks:
-            acc += power * np.exp(-2j * np.pi * math.fsum(f * ti for f, ti in zip(fs, t)))
-        for axis, f, power in comp.planes:
-            if all(ti == 0 for l, ti in enumerate(t) if l != axis):
-                acc += power * np.exp(-2j * np.pi * f * t[axis])
-        if all(ti == 0 for ti in t):
-            acc += comp.noise_var
-        return acc
-
-    return CorrelationSignal(gamma, _fill_hermitian(gamma, fill))
+    mesh = np.ix_(*[np.arange(1 - g, g) for g in gamma])
+    center = tuple(g - 1 for g in gamma)
+    acc = np.zeros(tuple(2 * g - 1 for g in gamma), dtype=complex)
+    for fs, power in comp.peaks:
+        acc += power * np.exp(-2j * np.pi * sum(f * t for f, t in zip(fs, mesh)))
+    for axis, f, power in comp.planes:
+        line = center[:axis] + (slice(None),) + center[axis + 1:]
+        acc[line] += power * np.exp(-2j * np.pi * f * mesh[axis].ravel())
+    acc[center] += comp.noise_var
+    return CorrelationSignal(gamma, _hermitian(acc))
 
 
 @dataclass(frozen=True)
@@ -305,14 +298,7 @@ def assemble(c: CorrelationSignal, nesting: Nesting | None = None) -> BlockToepl
     spec = DimSpec(c.gamma)
     if nesting is None:
         nesting = Nesting.identity(spec.d)
-    st = strides(spec, nesting)
-    flats = np.arange(spec.q)
-    gather = []
-    for dim in range(spec.d):
-        slot = nesting.slot_of(dim)
-        digits = (flats // st.q[slot]) % st.extents[slot]
-        gather.append(digits[:, None] - digits[None, :] + (spec.gamma[dim] - 1))
-    entries = c.lags[tuple(gather)]
+    entries = c.lags.take(_lag_gather(spec.gamma, nesting))
     return BlockToeplitzMatrix(spec, nesting, entries)
 
 
@@ -333,11 +319,9 @@ def ndcorr_lines(c: CorrelationSignal) -> list[str]:
     in lexicographic order: the integer lag components followed by the
     real and imaginary parts.
     """
-    offset = tuple(g - 1 for g in c.gamma)
     lines = [NDCORR_MAGIC, "gamma: " + " ".join(str(g) for g in c.gamma)]
-    for idx in np.ndindex(*c.lags.shape):
-        t = tuple(i - o for i, o in zip(idx, offset))
-        v = c.lags[idx]
+    for t, v in zip(itertools.product(*(range(1 - g, g) for g in c.gamma)),
+                    c.lags.ravel().tolist()):
         lines.append(" ".join([str(ti) for ti in t] + [_fmt(v.real), _fmt(v.imag)]))
     return lines
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from ndspec import (
     AliasingWarning,
     CorrelationSignal,
     DimSpec,
+    Nesting,
     SpectralComposition,
     SpectralGridSpec,
     SpectrumEstimate,
@@ -17,9 +19,11 @@ from ndspec import (
     correlation_match,
     cost_report,
     invert_pd,
+    multi_of_flat,
     sequential_cost,
     sequential_spectrum,
     sequential_stage_costs,
+    strides,
     synth_correlation,
 )
 from ndspec.errors import DimensionMismatch, SizeMismatch
@@ -30,8 +34,45 @@ VI_COMPOSITION = SpectralComposition(
     noise_var=0.1,
 )
 
+# Grids coarser than the lag box on some axes (C_i < 2 gamma_i - 1,
+# including 1- and 2-point axes), where lags alias onto shared cells.
+COARSE_CASES = [
+    ((3, 2, 4), (2, 1, 5)),
+    ((4, 3), (9, 2)),
+    ((5,), (3,)),
+    ((2, 3), (1, 4)),
+]
+
+
+def capon_by_steering(r_inv, gamma, counts):
+    """1 / (a^H R^{-1} a) with explicit steering vectors, point by point."""
+    st = strides(DimSpec(gamma), Nesting.identity(len(gamma)))
+    m = np.array([multi_of_flat(i, st) for i in range(st.size)])
+    out = np.empty(counts)
+    for k in np.ndindex(*counts):
+        a = np.exp(-1j * m @ (2 * np.pi * np.array(k) / np.array(counts)))
+        out[k] = 1.0 / np.real(a.conj() @ r_inv @ a)
+    return out
+
+
+def mean_of_kernels(power, t):
+    """Grid mean of S(w) e^{-j w.t} with one phase kernel per axis."""
+    phase = np.ones(power.shape, dtype=complex)
+    for axis, (count, ti) in enumerate(zip(power.shape, t)):
+        kernel = np.exp(-2j * np.pi * np.arange(count) * ti / count)
+        phase = phase * kernel.reshape([count if a == axis else 1 for a in range(power.ndim)])
+    return np.mean(power * phase)
+
 
 class TestCapon:
+    @pytest.mark.parametrize("gamma, counts", COARSE_CASES)
+    def test_matches_steering_formula_on_coarse_grids(self, gamma, counts):
+        rng = np.random.default_rng(len(gamma) + sum(counts))
+        r_inv = invert_pd(assemble(random_correlation(rng, gamma)).entries)
+        s = capon_spectrum(r_inv, DimSpec(gamma), SpectralGridSpec(counts))
+        np.testing.assert_allclose(s.power, capon_by_steering(r_inv, gamma, counts),
+                                   rtol=1e-12)
+
     def test_white_noise(self):
         # a^H a = q makes the white level var / q
         var = 0.1
@@ -120,6 +161,24 @@ class TestCostModel:
 
 
 class TestCorrelationMatch:
+    @pytest.mark.parametrize("gamma, counts", COARSE_CASES)
+    def test_matches_kernel_mean_on_coarse_grids(self, gamma, counts):
+        rng = np.random.default_rng(len(gamma) * sum(counts))
+        c = random_correlation(rng, gamma)
+        s = SpectrumEstimate(SpectralGridSpec(counts), rng.random(counts) + 0.1)
+        with pytest.warns(AliasingWarning):
+            report = correlation_match(s, c)
+        lags = list(itertools.product(*(range(1 - g, g) for g in gamma)))
+        assert [entry.lag for entry in report.per_lag] == lags
+        rhat = {entry.lag: entry.reconstructed for entry in report.per_lag}
+        for t in lags:
+            assert abs(rhat[t] - mean_of_kernels(s.power, t)) <= 1e-14 * s.power.max()
+            assert rhat[tuple(-ti for ti in t)] == rhat[t].conjugate()
+        for entry in report.per_lag:
+            assert entry.original == c.value(entry.lag)
+            assert entry.error == pytest.approx(
+                abs(entry.reconstructed - entry.original) / abs(entry.original), rel=1e-15)
+
     def test_flat_spectrum_matches_white_noise(self):
         var = 0.1
         c = synth_correlation(SpectralComposition(noise_var=var), (2,))

@@ -57,6 +57,24 @@ class TestGen:
         out = tmp_path / "x"
         assert run(["gen", "--gamma", "2", "--peak", "0.1:0", "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize("flag", [
+        ["--noise", "nan"],
+        ["--peak", "0.1,0.1:inf"],
+        ["--plane", "0:0.2:nan"],
+        ["--peak", "nan,0.1:1"],
+        ["--peak", "0.1,0.1:1e308", "--peak", "0.2,0.1:1e308"],
+    ])
+    def test_non_finite_flag_is_usage_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "x.ndcorr"
+        assert run(["gen", "--gamma", "2,2", "--out", str(out)] + flag) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_largest_finite_power_is_kept(self, tmp_path):
+        path = tmp_path / "big.ndcorr"
+        assert run(["gen", "--gamma", "2", "--peak", "0.5:1e308", "--out", str(path)]) == 0
+        assert load_ndcorr(path).zero_lag == 1e308
+
     def test_symmetrize_gives_real_lags(self, tmp_path):
         path = tmp_path / "sym.ndcorr"
         assert run(["gen", "--gamma", "3", "--peak", "0.2:1", "--noise", "0.1",
@@ -125,6 +143,23 @@ class TestEstimate:
         corr.write_text("not a correlation file\n")
         assert run(["estimate", str(corr), "--grid", "8"]) == 4
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_lag_file_exits_4(self, tmp_path, capsys, value):
+        corr = tmp_path / "bad.ndcorr"
+        corr.write_text(f"ndcorr 1\ngamma: 2\n-1 0.5 0.0\n0 1.0 0.0\n1 {value} 0.0\n")
+        assert run(["estimate", str(corr), "--grid", "8"]) == 4
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        spectrum = tmp_path / "flat.csv"
+        spectrum.write_text("f_0,power\n0.0,1.0\n0.5,1.0\n")
+        assert run(["match", str(spectrum), str(corr)]) == 4
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_ridge_is_usage_error(self, tmp_path, capsys, value):
+        corr = gen_cube(tmp_path)
+        assert run(["estimate", str(corr), "--grid", "4,4,4", "--ridge", value]) == 2
+        assert "--ridge" in capsys.readouterr().err
+
     def test_grid_dimension_mismatch_is_usage_error(self, tmp_path):
         corr = gen_cube(tmp_path)
         assert run(["estimate", str(corr), "--grid", "10,10"]) == 2
@@ -192,6 +227,15 @@ class TestMatch:
         assert all(float(r[5]) < 1e-12 for r in rows)
         modes = {r[0]: r[6] for r in rows}
         assert modes["0"] == "rel" and modes["1"] == "abs"
+
+    @pytest.mark.parametrize("row", ["nan,1.0", "0.0,nan", "inf,1.0"])
+    def test_non_finite_spectrum_file_exits_4(self, tmp_path, capsys, row):
+        corr = tmp_path / "white.ndcorr"
+        run(["gen", "--gamma", "1", "--noise", "0.1", "--out", str(corr)])
+        spectrum = tmp_path / "bad.csv"
+        spectrum.write_text(f"f_0,power\n{row}\n")
+        assert run(["match", str(spectrum), str(corr)]) == 4
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_dimension_mismatch_exits_4(self, tmp_path):
         corr1d = tmp_path / "one.ndcorr"

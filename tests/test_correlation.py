@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -30,7 +31,61 @@ VI_COMPOSITION = SpectralComposition(
 )
 
 
+def biased_lags(x, gamma):
+    """Direct biased sum c(t) = (1/N) sum_n x(n+t) conj(x(n)) over the box."""
+    out = np.zeros(tuple(2 * g - 1 for g in gamma), dtype=complex)
+    for t in itertools.product(*(range(1 - g, g) for g in gamma)):
+        acc = 0j
+        for n in np.ndindex(*x.shape):
+            m = tuple(ni + ti for ni, ti in zip(n, t))
+            if all(0 <= mi < size for mi, size in zip(m, x.shape)):
+                acc += x[m] * np.conj(x[n])
+        out[tuple(ti + g - 1 for ti, g in zip(t, gamma))] = acc / x.size
+    return out
+
+
+def closed_form_lags(comp, gamma):
+    """Peaks, planes and noise summed lag by lag from their closed forms."""
+    out = np.zeros(tuple(2 * g - 1 for g in gamma), dtype=complex)
+    for t in itertools.product(*(range(1 - g, g) for g in gamma)):
+        acc = sum(power * np.exp(-2j * np.pi * math.fsum(f * ti for f, ti in zip(fs, t)))
+                  for fs, power in comp.peaks)
+        for axis, f, power in comp.planes:
+            if all(ti == 0 for other, ti in enumerate(t) if other != axis):
+                acc += power * np.exp(-2j * np.pi * f * t[axis])
+        if not any(t):
+            acc += comp.noise_var
+        out[tuple(ti + g - 1 for ti, g in zip(t, gamma))] = acc
+    return out
+
+
+def is_exactly_hermitian(lags):
+    return np.array_equal(lags, np.conj(np.flip(lags)))
+
+
 class TestEstimate:
+    @pytest.mark.parametrize("shape, gamma", [
+        ((9,), (9,)),
+        ((5, 4), (2, 4)),
+        ((3, 4, 2), (3, 2, 2)),
+        ((4, 3, 3), (4, 3, 1)),
+    ])
+    def test_matches_biased_sum(self, shape, gamma):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        c = estimate_correlation(x, gamma)
+        np.testing.assert_allclose(c.lags, biased_lags(x, gamma), rtol=0,
+                                   atol=1e-14 * c.zero_lag)
+        assert is_exactly_hermitian(c.lags)
+
+    def test_ones_2d_counts_overlaps(self):
+        c = estimate_correlation(np.ones((3, 3)), (2, 2))
+        np.testing.assert_allclose(c.lags, biased_lags(np.ones((3, 3)), (2, 2)),
+                                   rtol=0, atol=1e-15)
+        assert c.value((0, 0)) == pytest.approx(1.0)
+        assert c.value((1, -1)) == pytest.approx(4.0 / 9.0)
+        assert is_exactly_hermitian(c.lags)
+
     def test_ones_signal(self):
         c = estimate_correlation(np.array([1.0, 1.0, 1.0]), (2,))
         assert c.value((0,)) == pytest.approx(1.0)
@@ -52,16 +107,6 @@ class TestEstimate:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             estimate_correlation(np.ones((3, 3)), (2,))
-
-    def test_accepts_signal_tensor(self):
-        from ndspec import SignalTensor
-
-        tensor = SignalTensor(np.ones((3, 3)))
-        assert tensor.dims == (3, 3)
-        c = estimate_correlation(tensor, (2, 2))
-        assert c.value((0, 0)) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            SignalTensor(np.empty((0,)))
 
     @given(
         hnp.arrays(
@@ -87,6 +132,19 @@ class TestEstimate:
 
 
 class TestSynth:
+    def test_matches_closed_form_with_unequal_orders(self):
+        comp = SpectralComposition(
+            peaks=(((0.13, 0.71, 0.4), 0.7), ((0.9, 0.05, 0.62), 1.3)),
+            planes=((0, 0.37, 0.5), (2, 0.81, 0.25)),
+            noise_var=0.2,
+        )
+        gamma = (2, 3, 4)
+        c = synth_correlation(comp, gamma)
+        np.testing.assert_allclose(c.lags, closed_form_lags(comp, gamma),
+                                   rtol=0, atol=1e-14 * c.zero_lag)
+        assert is_exactly_hermitian(c.lags)
+        assert is_exactly_hermitian(synth_correlation(comp, gamma, symmetrize=True).lags)
+
     def test_noise_only(self):
         c = synth_correlation(SpectralComposition(noise_var=0.1), (2, 3))
         assert c.zero_lag == pytest.approx(0.1)
@@ -146,6 +204,15 @@ class TestSynth:
         with pytest.raises(ValueError):
             SpectralComposition(noise_var=-0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_composition_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            SpectralComposition(peaks=(((0.1,), bad),))
+        with pytest.raises(ValueError):
+            SpectralComposition(planes=((0, 0.2, bad),))
+        with pytest.raises(ValueError):
+            SpectralComposition(noise_var=bad)
+
 
 class TestSignalType:
     def test_rejects_non_hermitian(self):
@@ -155,6 +222,13 @@ class TestSignalType:
     def test_rejects_negative_zero_lag(self):
         with pytest.raises(ValueError):
             CorrelationSignal((2,), np.array([0.2, -1.0, 0.2]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_lags(self, bad):
+        with pytest.raises(ValueError):
+            CorrelationSignal((2,), np.array([0.2, 1.0, 0.2 + bad * 1j]))
+        with pytest.raises(ValueError):
+            CorrelationSignal((1,), np.array([bad]))
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
@@ -175,8 +249,9 @@ class TestSignalType:
     def test_with_ridge(self):
         c = CorrelationSignal.from_forward_lags([2.0, 0.5])
         assert c.with_ridge(0.25).zero_lag == pytest.approx(2.5)
-        with pytest.raises(ValueError):
-            c.with_ridge(-1.0)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                c.with_ridge(bad)
 
 
 class TestAssemble:
