@@ -235,8 +235,11 @@ def cmd_match(args) -> int:
 def cmd_slice(args) -> int:
     spectrum = _load_spectrum_csv(args.spectrum)
     d = spectrum.grid.d
-    fixed = dict(args.fix or ())
-    for axis, index in fixed.items():
+    fixed = {}
+    for axis, index in args.fix or ():
+        if axis in fixed:
+            raise UsageError(f"--fix axis {axis} fixed twice")
+        fixed[axis] = index
         if not 0 <= axis < d:
             raise UsageError(f"--fix axis {axis} outside 0..{d - 1}")
         if not 0 <= index < spectrum.grid.counts[axis]:

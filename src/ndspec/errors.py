@@ -32,16 +32,18 @@ class FileFormatError(NdspecError):
 class NotPositiveDefinite(NdspecError):
     """A Hermitian matrix failed its positive-definiteness check.
 
-    Carries the failing pivot index and, when raised from inside the
-    sequential sweep, the stage number and the processed-frequency grid
-    indices where the zero block broke down.
+    Carries the failing pivot index, the position ``index`` of the
+    failing matrix in a stack and, when raised from inside the sequential
+    sweep, the stage number and the processed-frequency grid indices
+    where the zero block broke down.
     """
 
     def __init__(self, message, pivot_index=None, pivot_value=None,
-                 stage=None, frequency=None):
+                 stage=None, frequency=None, index=None):
         super().__init__(message)
         self.pivot_index = pivot_index
         self.pivot_value = pivot_value
+        self.index = index
         self.stage = stage
         self.frequency = frequency
 

@@ -23,15 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import CorrelationSignal, assemble
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    NotPositiveDefinite,
-    SizeMismatch,
-)
+from .errors import DimensionMismatch, NotPositiveDefinite, SizeMismatch
 from .grid import SpectralGridSpec, SpectrumEstimate
 from .indexing import DimSpec, Nesting, apply_walking, walking_map
-from .linalg import invert_pd, sandwich
+from .linalg import invert_pd, one_blas_thread
 
 
 @dataclass(frozen=True)
@@ -136,24 +131,18 @@ def init_stage(r_inv, spec: DimSpec) -> StageField:
     return StageField(spec, 1, (), (), blocks)
 
 
-def fourier_block_sum(field: StageField, m: int, count: int) -> np.ndarray:
-    """M(w) = sum_k G(k) e^{j k w} at w = 2 pi m / count, for every
-    processed-frequency point at once."""
-    if not 0 <= m < count:
-        raise IndexOutOfRange(f"grid index {m} outside [0, {count})")
-    phases = np.exp(2j * np.pi * m * np.arange(field.n_blocks) / count)
-    return np.tensordot(field.blocks, phases, axes=([-3], [0]))
-
-
+@one_blas_thread
 def stage_update(field: StageField, grid: SpectralGridSpec) -> StageField:
-    """One sweep stage: invert the zero block at every processed point,
-    apply the congruence at every new grid index, and extract the next
-    blocks.
+    """One sweep stage: invert the zero blocks of every processed point in
+    one stacked call, then, for each index m of the new axis, form the
+    block Fourier sum M(w_m) = sum_k G(k) e^{j k w_m} and the congruence
+    M [G(0)]^{-1} M^H at all points at once, keeping only the columns of
+    the next stage's first block-column.
 
     At the final stage (x = d) there is nothing left to extract and the
     returned field holds the 1 x 1 scalars. NotPositiveDefinite is
     re-raised tagged with the stage and the processed grid indices where
-    the zero block failed.
+    the zero block failed (the first such point in C order).
     """
     spec = field.spec
     d = spec.d
@@ -166,29 +155,19 @@ def stage_update(field: StageField, grid: SpectralGridSpec) -> StageField:
     count = grid.counts[dim]
     h = field.block_size
 
-    g0_inv = np.empty(field.counts + (h, h), dtype=complex)
-    for point in np.ndindex(*field.counts):
-        try:
-            g0_inv[point] = invert_pd(field.blocks[point + (0,)])
-        except NotPositiveDefinite as exc:
-            raise exc.tagged(x, point) from exc
+    try:
+        g0_inv = invert_pd(field.blocks[..., 0, :, :])
+    except NotPositiveDefinite as exc:
+        raise exc.tagged(x, exc.index) from exc
 
-    if x < d:
-        new_h = h // spec.gamma[dim - 1]
-        n_new = spec.gamma[dim - 1]
-    else:
-        new_h = 1
-        n_new = 1
+    new_h = h // spec.gamma[dim - 1] if x < d else 1
+    n_new = h // new_h
     out = np.empty(field.counts + (count, n_new, new_h, new_h), dtype=complex)
     for m in range(count):
-        summed = fourier_block_sum(field, m, count)
-        for point in np.ndindex(*field.counts):
-            updated = sandwich(summed[point], g0_inv[point])
-            if x < d:
-                for k in range(n_new):
-                    out[point + (m, k)] = updated[k * new_h:(k + 1) * new_h, 0:new_h]
-            else:
-                out[point + (m, 0)] = updated
+        phases = np.exp(2j * np.pi * m * np.arange(field.n_blocks) / count)
+        summed = np.tensordot(field.blocks, phases, axes=([-3], [0]))
+        kept = summed @ g0_inv @ summed[..., :new_h, :].conj().swapaxes(-1, -2)
+        out[..., m, :, :, :] = kept.reshape(field.counts + (n_new, new_h, new_h))
     return StageField(spec, x + 1, field.processed + (dim,),
                       field.counts + (count,), out)
 

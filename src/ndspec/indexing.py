@@ -98,10 +98,9 @@ class IndexPermutation:
         return len(self.mapping)
 
     def inverse(self) -> "IndexPermutation":
-        inv = [0] * len(self.mapping)
-        for src, dst in enumerate(self.mapping):
-            inv[dst] = src
-        return IndexPermutation(tuple(inv))
+        inv = np.empty(len(self.mapping), dtype=np.int64)
+        inv[np.asarray(self.mapping)] = np.arange(len(self.mapping))
+        return IndexPermutation(tuple(inv.tolist()))
 
 
 def _check_nesting(spec: DimSpec, nesting: Nesting) -> None:
@@ -149,12 +148,9 @@ def walking_map(spec: DimSpec, src: Nesting, dst: Nesting) -> IndexPermutation:
     st_src = strides(spec, src)
     st_dst = strides(spec, dst)
     # stride each source slot's digit gets in the destination flattening
-    weights = tuple(st_dst.q[dst.slot_of(dim)] for dim in src.dims)
-    mapping = []
-    for flat in range(spec.q):
-        digits = multi_of_flat(flat, st_src)
-        mapping.append(sum(dg * w for dg, w in zip(digits, weights)))
-    return IndexPermutation(tuple(mapping))
+    weights = np.array([st_dst.q[dst.slot_of(dim)] for dim in src.dims])
+    digits = (np.arange(spec.q)[:, None] // np.array(st_src.q)) % np.array(st_src.extents)
+    return IndexPermutation(tuple((digits @ weights).tolist()))
 
 
 def apply_walking(m, perm: IndexPermutation) -> np.ndarray:

@@ -1,86 +1,136 @@
-"""Dense complex Hermitian factorization, inversion, and congruence products.
+"""Stacked Hermitian positive definite factorization and inversion.
 
-Matrices are plain numpy arrays; Hermitian inputs are read from the
-lower triangle, and Hermitian outputs are explicitly symmetrized so
-asymmetry cannot drift across repeated stages.
+Every function takes a stack of matrices, shape (..., n, n); a single
+matrix is a stack with no leading axes. Hermitian inputs are read from
+the lower triangle. The whole stack goes through one numpy LAPACK call;
+only when it fails is it factored again matrix by matrix with scipy's
+zpotrf, in C order, to name the first failing matrix and pivot.
 """
 
 from __future__ import annotations
 
-import math
+import ctypes
+import functools
+import threading
+from contextlib import ContextDecorator
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import zpotrf
 
 from .errors import NotPositiveDefinite, SizeMismatch
 
-# Pivot floor relative to the largest diagonal entry.
+# Pivot floor relative to the largest diagonal entry of each matrix.
 PD_PIVOT_REL = 1e-12
 
 
-def _square(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise SizeMismatch(f"expected a square matrix, got shape {a.shape}")
-    return a
+@functools.cache
+def _numpy_openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    when numpy uses another BLAS."""
+    for path in (Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*"):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas", "openblas"):
+            if hasattr(lib, f"{name}_set_num_threads64_"):
+                get = getattr(lib, f"{name}_get_num_threads64_")
+                put = getattr(lib, f"{name}_set_num_threads64_")
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    return None
 
 
-def hermitianize(m) -> np.ndarray:
-    """(A + A^H) / 2 with an exactly real diagonal."""
-    a = _square(m)
-    out = 0.5 * (a + a.conj().T)
-    np.fill_diagonal(out, out.diagonal().real)
-    return out
+class _OneBlasThread(ContextDecorator):
+    """Run the enclosed calls on one thread of numpy's bundled OpenBLAS and
+    restore the caller's count when the outermost call returns (no-op for
+    another BLAS). A second thread that must be woken, or that shares a
+    core with other work, made the sweep's calls cost up to tens of times
+    their single-thread time. ``find`` returns (get, set) of the count."""
+
+    def __init__(self, find):
+        self.find, self.lock, self.depth, self.saved = find, threading.Lock(), 0, 1
+
+    def __enter__(self):
+        with self.lock:
+            calls = self.find()
+            if calls and self.depth == 0:
+                self.saved = calls[0]()
+                calls[1](1)
+            self.depth += 1
+
+    def __exit__(self, *exc):
+        with self.lock:
+            self.depth -= 1
+            calls = self.find()
+            if calls and self.depth == 0:
+                calls[1](self.saved)
 
 
-def cholesky(h, pivot_floor: float | None = None) -> np.ndarray:
-    """Lower Cholesky factor of a Hermitian positive definite matrix.
+one_blas_thread = _OneBlasThread(_numpy_openblas_threads)
 
-    Only the lower triangle of ``h`` is read. Each pivot is checked
-    against a floor (by default 1e-12 times the largest diagonal entry);
-    the index of the failing pivot is reported on NotPositiveDefinite.
+
+def _factor_one(a: np.ndarray, floor: float, index: tuple[int, ...]) -> np.ndarray:
+    """Lower factor of one matrix; the first pivot at or below ``floor``
+    (or the one LAPACK rejects) is reported with ``index``."""
+    lower, info = zpotrf(a, lower=1, clean=1)
+    done = info - 1 if info > 0 else a.shape[-1]
+    pivots = lower.diagonal().real[:done] ** 2
+    low = np.flatnonzero(~(pivots > floor))
+    if low.size:
+        k, value = int(low[0]), float(pivots[low[0]])
+    elif info > 0:
+        k, value = done, float(lower[done, done].real)
+    else:
+        return lower
+    raise NotPositiveDefinite(
+        f"pivot {k} is {value:.6g} (floor {floor:.6g})",
+        pivot_index=k, pivot_value=value, index=index,
+    )
+
+
+@one_blas_thread
+def cholesky(h) -> np.ndarray:
+    """Lower Cholesky factors of a stack of Hermitian positive definite
+    matrices.
+
+    A pivot passes when its square, diag(L)^2, is above 1e-12 times the
+    largest diagonal entry of its matrix. On failure NotPositiveDefinite
+    names the first failing matrix in C order (``index``) and its first
+    failing pivot.
     """
-    a = _square(h).copy()
-    n = a.shape[0]
-    if pivot_floor is None:
-        diag_max = float(np.max(a.diagonal().real, initial=0.0))
-        pivot_floor = PD_PIVOT_REL * diag_max
-    lower = np.zeros_like(a)
-    for k in range(n):
-        pivot = a[k, k].real
-        if pivot <= pivot_floor:
-            raise NotPositiveDefinite(
-                f"pivot {k} is {pivot:.6g} (floor {pivot_floor:.6g})",
-                pivot_index=k, pivot_value=pivot,
-            )
-        root = math.sqrt(pivot)
-        lower[k, k] = root
-        if k + 1 < n:
-            col = a[k + 1:, k] / root
-            lower[k + 1:, k] = col
-            a[k + 1:, k + 1:] -= np.outer(col, col.conj())
+    a = np.asarray(h, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise SizeMismatch(f"expected square matrices, got shape {a.shape}")
+    floors = PD_PIVOT_REL * np.max(np.diagonal(a, axis1=-2, axis2=-1).real,
+                                   axis=-1, initial=0.0)
+    try:
+        lower = np.linalg.cholesky(a)
+        pivots = np.diagonal(lower, axis1=-2, axis2=-1).real ** 2
+        if np.all(pivots > floors[..., None]):
+            return lower
+    except np.linalg.LinAlgError:
+        pass
+    lower = np.empty_like(a)
+    for index in np.ndindex(a.shape[:-2]):
+        lower[index] = _factor_one(a[index], float(floors[index]), index)
     return lower
 
 
+@one_blas_thread
 def invert_pd(h) -> np.ndarray:
-    """Inverse of a Hermitian positive definite matrix.
+    """Inverses of a stack of Hermitian positive definite matrices.
 
-    Cholesky factorization followed by a triangular solve against the
-    identity; the result is symmetrized to exact Hermitian form.
+    Cholesky factorization, then L^{-H} L^{-1}; each result is
+    symmetrized to exact Hermitian form.
     """
-    lower = cholesky(h)
-    n = lower.shape[0]
-    linv = solve_triangular(lower, np.eye(n, dtype=complex), lower=True)
-    return hermitianize(linv.conj().T @ linv)
-
-
-def sandwich(m, h_inv) -> np.ndarray:
-    """Congruence product m @ h_inv @ m^H, symmetrized to exact Hermitian.
-
-    Positive semi-definite whenever ``h_inv`` is.
-    """
-    a = _square(m)
-    b = _square(h_inv)
-    if a.shape[0] != b.shape[0]:
-        raise SizeMismatch(f"factor sizes {a.shape[0]} and {b.shape[0]} do not agree")
-    return hermitianize(a @ b @ a.conj().T)
+    # numpy's LAPACK inverts L rather than scipy's solve_triangular: calls
+    # that alternate between the two libraries' BLAS thread pools stall for
+    # milliseconds each. Each temporary is dropped as soon as it is used and
+    # the symmetrization runs in place: the initial q x q inverse is the
+    # sweep's memory peak.
+    linv = np.linalg.inv(cholesky(h))
+    inv = linv.conj().swapaxes(-1, -2) @ linv
+    del linv
+    inv += inv.conj().swapaxes(-1, -2)
+    inv *= 0.5
+    return inv

@@ -1,0 +1,13 @@
+import ndspec
+
+# The public API may shrink but must not grow past this size again.
+MAX_PUBLIC_NAMES = 49
+
+
+def test_public_api_is_sorted_unique_importable_and_bounded():
+    names = ndspec.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    missing = [name for name in names if not hasattr(ndspec, name)]
+    assert not missing
+    assert len(names) <= MAX_PUBLIC_NAMES

@@ -296,6 +296,12 @@ class TestSlice:
         assert run(["slice", str(spec), "--fix", "7=1"]) == 2
         assert run(["slice", str(spec), "--fix", "0=99"]) == 2
 
+    def test_repeated_fix_axis_is_usage_error(self, tmp_path, capsys):
+        spec = self.make_spectrum(tmp_path)
+        capsys.readouterr()
+        assert run(["slice", str(spec), "--fix", "0=1", "--fix", "0=2"]) == 2
+        assert "axis 0 fixed twice" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_cube_pipeline_under_five_seconds(self, tmp_path):

@@ -7,9 +7,9 @@ from ndspec import (
     DimSpec,
     SpectralComposition,
     SpectralGridSpec,
+    StageField,
     ar_spectrum_1d,
     assemble,
-    fourier_block_sum,
     init_stage,
     invert_pd,
     levinson_1d,
@@ -17,12 +17,35 @@ from ndspec import (
     stage_update,
     synth_correlation,
 )
-from ndspec.errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    NotPositiveDefinite,
-    SizeMismatch,
-)
+from ndspec.errors import DimensionMismatch, NotPositiveDefinite, SizeMismatch
+
+
+def reference_update(field, grid):
+    """Blocks of the next stage by the direct sum, point by point and
+    frequency by frequency."""
+    spec, x = field.spec, field.stage
+    dim = spec.d - x
+    count = grid.counts[dim]
+    h = field.block_size
+    new_h = h // spec.gamma[dim - 1] if x < spec.d else 1
+    out = np.empty(field.counts + (count, h // new_h, new_h, new_h), dtype=complex)
+    for point in np.ndindex(*field.counts):
+        blocks = field.blocks[point]
+        g0_inv = np.linalg.inv(blocks[0])
+        for m in range(count):
+            w = 2.0 * np.pi * m / count
+            summed = sum(blocks[k] * np.exp(1j * k * w) for k in range(len(blocks)))
+            full = summed @ g0_inv @ summed.conj().T
+            for k in range(h // new_h):
+                out[point + (m, k)] = full[k * new_h:(k + 1) * new_h, :new_h]
+    return out
+
+
+def block_sum(field, m, count):
+    """M(w) = sum_k G(k) e^{j k w} at w = 2 pi m / count, at every
+    processed point."""
+    phases = np.exp(2j * np.pi * m * np.arange(field.n_blocks) / count)
+    return np.tensordot(field.blocks, phases, axes=([-3], [0]))
 
 
 class TestLevinson:
@@ -128,7 +151,7 @@ class TestFourierBlockSum:
         rng = np.random.default_rng(3)
         c = random_correlation(rng, (3, 2))
         field = init_stage(invert_pd(assemble(c).entries), DimSpec((3, 2)))
-        out = fourier_block_sum(field, 0, 8)
+        out = block_sum(field, 0, 8)
         np.testing.assert_allclose(out, field.blocks.sum(axis=0), rtol=1e-14)
 
     def test_single_block_is_constant_in_frequency(self):
@@ -137,7 +160,7 @@ class TestFourierBlockSum:
         field = init_stage(invert_pd(assemble(c).entries), DimSpec((3, 1)))
         assert field.n_blocks == 1
         for m in range(4):
-            np.testing.assert_allclose(fourier_block_sum(field, m, 4), field.blocks[0],
+            np.testing.assert_allclose(block_sum(field, m, 4), field.blocks[0],
                                        rtol=1e-14)
 
     def test_1d_matches_prediction_polynomial(self):
@@ -148,14 +171,8 @@ class TestFourierBlockSum:
         for m in range(8):
             w = 2.0 * np.pi * m / 8.0
             expected = (1.0 + res.p[1] * np.exp(1j * w)) / res.rho
-            out = fourier_block_sum(field, m, 8)
+            out = block_sum(field, m, 8)
             assert out[0, 0] == pytest.approx(expected, rel=1e-12)
-
-    def test_grid_index_bounds(self):
-        c = CorrelationSignal.from_forward_lags([1.0, 0.5])
-        field = init_stage(invert_pd(assemble(c).entries), DimSpec((2,)))
-        with pytest.raises(IndexOutOfRange):
-            fourier_block_sum(field, 8, 8)
 
 
 class TestStageUpdate:
@@ -217,7 +234,7 @@ class TestStageUpdate:
         field = init_stage(invert_pd(assemble(c).entries), DimSpec((2, 3)))
         g0_inv = invert_pd(field.blocks[0])
         for m in range(6):
-            summed = fourier_block_sum(field, m, 6)
+            summed = block_sum(field, m, 6)
             raw = summed @ g0_inv @ summed.conj().T
             asymmetry = np.max(np.abs(raw - raw.conj().T))
             assert asymmetry <= 1e-12 * np.max(np.abs(raw))
@@ -228,9 +245,36 @@ class TestStageUpdate:
         field = init_stage(invert_pd(assemble(c).entries), DimSpec((4,)))
         g0_inv = invert_pd(field.blocks[0])
         for m in range(8):
-            summed = fourier_block_sum(field, m, 8)
+            summed = block_sum(field, m, 8)
             raw = (summed @ g0_inv @ summed.conj().T)[0, 0]
             assert abs(raw.imag) <= 1e-10 * abs(raw.real)
+
+    def test_matches_direct_sum_reference(self):
+        rng = np.random.default_rng(12)
+        for gamma, counts in (((3, 2), (4, 5)), ((2, 3, 2), (3, 4, 5)),
+                              ((3, 3, 3), (4, 4, 4))):
+            c = random_correlation(rng, gamma)
+            grid = SpectralGridSpec(counts)
+            field = init_stage(invert_pd(assemble(c).entries), DimSpec(gamma))
+            for _ in gamma:
+                expected = reference_update(field, grid)
+                field = stage_update(field, grid)
+                assert field.blocks.shape == expected.shape
+                err = np.max(np.abs(field.blocks - expected))
+                assert err <= 1e-12 * np.max(np.abs(expected)), (gamma, field.stage)
+
+    def test_mid_sweep_failure_names_stage_and_point(self):
+        # gamma = (2, 2) at stage 2: 1 x 1 zero blocks 1, -1, -2, 1 on a
+        # 4-point processed axis; the first failing point in C order is (1,)
+        blocks = np.zeros((4, 2, 1, 1), dtype=complex)
+        blocks[:, 0, 0, 0] = [1.0, -1.0, -2.0, 1.0]
+        field = StageField(DimSpec((2, 2)), 2, (1,), (4,), blocks)
+        with pytest.raises(NotPositiveDefinite) as info:
+            stage_update(field, SpectralGridSpec((4, 4)))
+        assert info.value.stage == 2
+        assert info.value.frequency == (1,)
+        assert info.value.pivot_index == 0
+        assert info.value.pivot_value == -1.0
 
     def test_rejects_update_after_completion(self):
         c = CorrelationSignal.from_forward_lags([1.0, 0.5])
