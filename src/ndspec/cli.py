@@ -12,7 +12,9 @@ Exit codes: 0 success, 2 usage, 3 numerical (not positive definite),
 from __future__ import annotations
 
 import argparse
+import io
 import math
+import re
 import sys
 
 import numpy as np
@@ -110,51 +112,81 @@ def _write_lines(path, lines) -> None:
             fh.write("\n".join(lines) + "\n")
 
 
+# A line of whitespace only, with the line break before it. np.loadtxt skips
+# empty lines but refuses whitespace-only ones, which the format treats as blank.
+_BLANK_LINE = re.compile(r"\n\s*\n")
+
+
 def _load_spectrum_csv(path) -> SpectrumEstimate:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise FileFormatError(f"{path}: empty spectrum file")
-    header = lines[0].split(",")
-    if len(header) < 2 or header[-1] != "power" or header[0] != "f_0":
-        raise FileFormatError(f"{path}: unexpected header {lines[0]!r}")
-    d = len(header) - 1
     try:
-        rows = [tuple(float(tok) for tok in ln.split(",")) for ln in lines[1:]]
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+    head, newline, rest = text.lstrip().partition("\n")
+    head = head.rstrip()
+    if not head:
+        raise FileFormatError(f"{path}: empty spectrum file")
+    header = head.split(",")
+    if len(header) < 2 or header[-1] != "power" or header[0] != "f_0":
+        raise FileFormatError(f"{path}: unexpected header {head!r}")
+    d = len(header) - 1
+    body = _BLANK_LINE.sub("\n", newline + rest).strip()
+    if not body:
+        raise FileFormatError(f"{path}: no data rows")
+    try:
+        table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
+        if any(line.count(",") != d for line in body.split("\n") if line.strip()):
+            raise FileFormatError(f"{path}: rows do not match the header width") from exc
         raise FileFormatError(f"{path}: malformed data row") from exc
-    if any(len(row) != d + 1 for row in rows):
+    if table.shape[1] != d + 1:
         raise FileFormatError(f"{path}: rows do not match the header width")
-    if not all(math.isfinite(v) for row in rows for v in row):
+    if not np.isfinite(table).all():
         raise FileFormatError(f"{path}: non-finite value in a data row")
     counts = []
     for axis in range(d):
-        values = sorted({row[axis] for row in rows})
-        count = len(values)
-        if any(abs(v - m / count) > 1e-9 for m, v in enumerate(values)):
+        values = np.unique(table[:, axis])
+        count = values.size
+        if np.any(np.abs(values - np.arange(count) / count) > 1e-9):
             raise FileFormatError(f"{path}: axis {axis} is not a uniform m/C grid")
         counts.append(count)
     counts = tuple(counts)
-    expected = int(np.prod(counts))
-    if len(rows) != expected:
-        raise FileFormatError(f"{path}: expected {expected} rows, found {len(rows)}")
-    power = np.zeros(counts)
-    for row in rows:
-        idx = tuple(int(round(row[axis] * counts[axis])) for axis in range(d))
-        power[idx] = row[d]
+    expected = math.prod(counts)
+    if len(table) != expected:
+        raise FileFormatError(f"{path}: expected {expected} rows, found {len(table)}")
+    cells = np.ravel_multi_index(
+        tuple(np.rint(table[:, axis] * c).astype(np.intp) for axis, c in enumerate(counts)),
+        counts,
+    )
+    listed = np.bincount(cells, minlength=expected)
+    if listed.max() > 1:
+        cell = np.unravel_index(int(np.argmax(listed)), counts)
+        freqs = ", ".join(repr(int(m) / c) for m, c in zip(cell, counts))
+        raise FileFormatError(f"{path}: the cell at ({freqs}) is listed {listed.max()} times")
+    power = np.empty(expected)
+    power[cells] = table[:, d]
     try:
-        return SpectrumEstimate(SpectralGridSpec(counts), power)
+        return SpectrumEstimate(SpectralGridSpec(counts), power.reshape(counts))
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
+def _csv_rows(table) -> list[str]:
+    """Comma-joined rows of a 2D float array, each value in shortest round-trip
+    form, negative zero as 0.0: ``_fmt`` over whole arrays."""
+    table = np.asarray(table, dtype=float)
+    values = map(repr, (table + 0.0).ravel().tolist())
+    return [",".join(row) for row in zip(*[values] * table.shape[1])]
+
+
 def _spectrum_lines(s: SpectrumEstimate) -> list[str]:
-    d = s.grid.d
-    lines = [",".join([f"f_{i}" for i in range(d)] + ["power"])]
-    for idx in np.ndindex(*s.grid.counts):
-        freqs = [_fmt(m / count) for m, count in zip(idx, s.grid.counts)]
-        lines.append(",".join(freqs + [_fmt(s.power[idx])]))
-    return lines
+    prefixes = [""]
+    for count in s.grid.counts:
+        freqs = [repr(m / count) + "," for m in range(count)]
+        prefixes = [p + f for p in prefixes for f in freqs]
+    header = ",".join([f"f_{i}" for i in range(s.grid.d)] + ["power"])
+    return [header, *map(str.__add__, prefixes, _csv_rows(s.power.reshape(-1, 1)))]
 
 
 def _fraction_str(value) -> str:
@@ -222,12 +254,10 @@ def cmd_match(args) -> int:
     d = signal.d
     lines = [",".join([f"t_{i}" for i in range(d)]
                       + ["r_re", "r_im", "rhat_re", "rhat_im", "rel_err", "mode"])]
-    for entry in report.per_lag:
-        row = [str(t) for t in entry.lag]
-        row += [_fmt(entry.original.real), _fmt(entry.original.imag),
-                _fmt(entry.reconstructed.real), _fmt(entry.reconstructed.imag),
-                _fmt(entry.error), entry.mode]
-        lines.append(",".join(row))
+    values = _csv_rows([(e.original.real, e.original.imag, e.reconstructed.real,
+                         e.reconstructed.imag, e.error) for e in report.per_lag])
+    for entry, row in zip(report.per_lag, values):
+        lines.append(",".join([*map(str, entry.lag), row, entry.mode]))
     _write_lines(args.out, lines)
     return EXIT_OK
 
@@ -251,8 +281,7 @@ def cmd_slice(args) -> int:
         raise UsageError(f"need exactly 2 free axes after --fix, got {len(free)}")
     selector = tuple(fixed[axis] if axis in fixed else slice(None) for axis in range(d))
     plane = spectrum.power[selector]
-    lines = [",".join(_fmt(v) for v in row) for row in plane]
-    _write_lines(args.out, lines)
+    _write_lines(args.out, _csv_rows(plane))
     return EXIT_OK
 
 

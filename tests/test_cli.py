@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,125 @@ class TestMatch:
         assert run(["match", str(spec), str(corr), "--out", str(out)]) == 0
         _, rows = read_csv(out)
         assert max(float(r[5]) for r in rows) < 1e-3
+
+
+SPECTRUM_REFUSALS = {
+    "empty": "",
+    "header_only": "f_0,f_1,power\n",
+    "wrong_header": "f_0,f_1,pow\n0.0,0.0,1.0\n",
+    "ragged_row": "f_0,f_1,power\n0.0,0.0,1.0\n0.0,1.0\n",
+    "uniform_wrong_width": "f_0,f_1,power\n0.0,0.0,1.0,1.0\n",
+    "non_numeric": "f_0,f_1,power\n0.0,0.0,abc\n",
+    "non_uniform_axis": "f_0,f_1,power\n0.0,0.0,1.0\n0.3,0.0,1.0\n",
+    "missing_row": "f_0,f_1,power\n0.0,0.0,1.0\n0.0,0.5,1.0\n0.5,0.0,1.0\n",
+    "repeated_cell": "f_0,f_1,power\n0.0,0.0,1.0\n0.0,0.5,1.0\n0.5,0.0,1.0\n0.5,0.0,1.0\n",
+    "non_positive_power": "f_0,f_1,power\n0.0,0.0,1.0\n0.5,0.0,-0.0\n",
+    "digit_separator": "f_0,f_1,power\n0.0,0.0,1_0\n",
+    "not_utf8": "f_0,f_1,power\n0.0,0.0,1.0\xff\n",
+}
+
+
+class TestSpectrumRefusals:
+    """Every malformed spectrum CSV exits 4 with one stderr line and no warning."""
+
+    @pytest.fixture
+    def corr(self, tmp_path):
+        path = tmp_path / "white.ndcorr"
+        assert run(["gen", "--gamma", "1,1", "--noise", "0.1", "--out", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("command", ["match", "slice"])
+    @pytest.mark.parametrize("case", sorted(SPECTRUM_REFUSALS))
+    def test_exits_4_with_one_line(self, tmp_path, corr, capsys, command, case):
+        spectrum = tmp_path / "bad.csv"
+        # latin-1 writes the ASCII cases as they are and \xff as a byte that is not UTF-8
+        spectrum.write_bytes(SPECTRUM_REFUSALS[case].encode("latin-1"))
+        argv = ([command, str(spectrum), str(corr)] if command == "match"
+                else [command, str(spectrum)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 4
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("case, message", [
+        ("header_only", "no data rows"),
+        ("repeated_cell", "the cell at (0.5, 0.0) is listed 2 times"),
+    ])
+    def test_message_names_the_fault(self, tmp_path, capsys, case, message):
+        spectrum = tmp_path / "bad.csv"
+        spectrum.write_text(SPECTRUM_REFUSALS[case])
+        assert run(["slice", str(spectrum)]) == 4
+        assert message in capsys.readouterr().err
+
+    def test_blank_lines_and_crlf_are_accepted(self, tmp_path):
+        from ndspec.cli import _load_spectrum_csv
+
+        spectrum = tmp_path / "loose.csv"
+        spectrum.write_bytes(b"\n  \r\n f_0,power \r\n\t\r\n 0.0 , 2.0\r\n \t\n\n0.5,3.0 \n  ")
+        loaded = _load_spectrum_csv(spectrum)
+        assert loaded.grid.counts == (2,)
+        assert loaded.power.tolist() == [2.0, 3.0]
+
+
+def reference_spectrum_lines(counts, power):
+    """The spectrum CSV formatted one cell at a time."""
+    lines = [",".join([f"f_{i}" for i in range(len(counts))] + ["power"])]
+    for idx in np.ndindex(*counts):
+        freqs = [repr(m / c) for m, c in zip(idx, counts)]
+        lines.append(",".join(freqs + [repr(float(power[idx]) + 0.0)]))
+    return lines
+
+
+class TestWriters:
+    @pytest.mark.parametrize("special", [5e-324, 1e-300, 1e300])
+    @pytest.mark.parametrize("counts", [(1,), (7,), (3, 5), (2, 3, 4)])
+    def test_spectrum_lines_match_per_cell_reference(self, tmp_path, counts, special):
+        from ndspec import SpectralGridSpec, SpectrumEstimate
+        from ndspec.cli import _load_spectrum_csv, _spectrum_lines, _write_lines
+
+        rng = np.random.default_rng(len(counts))
+        power = np.exp(rng.uniform(-700.0, 700.0, size=counts))
+        power.flat[-1] = special
+        spectrum = SpectrumEstimate(SpectralGridSpec(counts), power)
+        lines = _spectrum_lines(spectrum)
+        assert lines == reference_spectrum_lines(counts, power)
+        path = tmp_path / "spec.csv"
+        _write_lines(path, lines)
+        loaded = _load_spectrum_csv(path)
+        assert loaded.grid.counts == counts
+        assert np.array_equal(loaded.power, power)
+
+    def test_csv_rows_collapse_negative_zero(self):
+        from ndspec.cli import _csv_rows
+
+        assert _csv_rows([[-0.0, 1.5], [0.1, -2.0]]) == ["0.0,1.5", "0.1,-2.0"]
+
+    def test_match_and_slice_match_per_value_reference(self, tmp_path):
+        from ndspec import correlation_match
+        from ndspec.cli import _load_spectrum_csv
+
+        corr = gen_cube(tmp_path)
+        spec = tmp_path / "spec.csv"
+        assert run(["estimate", str(corr), "--grid", "6,5,7", "--out", str(spec)]) == 0
+        spectrum = _load_spectrum_csv(spec)
+
+        def fmt(x):
+            return repr(float(x) + 0.0)
+
+        out = tmp_path / "match.csv"
+        assert run(["match", str(spec), str(corr), "--out", str(out)]) == 0
+        expected = ["t_0,t_1,t_2,r_re,r_im,rhat_re,rhat_im,rel_err,mode"]
+        for e in correlation_match(spectrum, load_ndcorr(corr)).per_lag:
+            expected.append(",".join(
+                [str(t) for t in e.lag]
+                + [fmt(e.original.real), fmt(e.original.imag), fmt(e.reconstructed.real),
+                   fmt(e.reconstructed.imag), fmt(e.error), e.mode]))
+        assert out.read_text().splitlines() == expected
+
+        out = tmp_path / "plane.csv"
+        assert run(["slice", str(spec), "--fix", "1=3", "--out", str(out)]) == 0
+        plane = spectrum.power[:, 3, :]
+        assert out.read_text().splitlines() == [",".join(fmt(v) for v in row) for row in plane]
 
 
 class TestSlice:
