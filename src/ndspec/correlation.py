@@ -334,8 +334,12 @@ def save_ndcorr(c: CorrelationSignal, path) -> None:
 
 def load_ndcorr(path) -> CorrelationSignal:
     """Read an ``ndcorr 1`` file, validating shape and Hermitian symmetry."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+    lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
     if not lines or lines[0] != NDCORR_MAGIC:
         raise FileFormatError(f"{path}: missing '{NDCORR_MAGIC}' header line")
     if len(lines) < 2 or not lines[1].startswith("gamma:"):

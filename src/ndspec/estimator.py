@@ -1,7 +1,9 @@
 """Sequential dimension-by-dimension spectral estimation.
 
-The estimator inverts the assembled correlation matrix once and then
-sweeps the dimensions from the highest label down. Each stage holds, at
+The estimator computes the first block-column of the inverse correlation
+matrix by the multichannel Levinson recursion over the slowest dimension
+and then sweeps the dimensions from the highest label down. Each stage
+holds, at
 every already-processed frequency tuple, the first block-column of a
 running inverse; the stage forms the block Fourier sum M(w) over a new
 frequency axis, pushes it through the inverted zero block as the
@@ -22,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import CorrelationSignal, assemble
+from .correlation import CorrelationSignal, _lag_gather, assemble
 from .errors import DimensionMismatch, NotPositiveDefinite, SizeMismatch
 from .grid import SpectralGridSpec, SpectrumEstimate
 from .indexing import DimSpec, Nesting, apply_walking, walking_map
-from .linalg import invert_pd, one_blas_thread
+from .linalg import PD_PIVOT_REL, _inverse_factor_floored, invert_pd, one_blas_thread
 
 
 @dataclass(frozen=True)
@@ -172,9 +174,83 @@ def stage_update(field: StageField, grid: SpectralGridSpec) -> StageField:
                       field.counts + (count,), out)
 
 
-def _verify_walked_inverse(c: CorrelationSignal, r_inv, tol: float = 1e-8) -> None:
-    """Invert under the reversed nesting and walk back; must match r_inv."""
+def _toeplitz_blocks(c: CorrelationSignal) -> np.ndarray:
+    """Blocks T(k), k = 0..gamma_{d-1} - 1, of the first block-column of the
+    assembled matrix: R is block Toeplitz along the slowest dimension,
+    with block (a, b) equal to T(a - b) and T(-k) = T(k)^H.
+
+    Gathered straight from the lag box with the h x h index of the faster
+    dimensions (h = 1 in 1D).
+    """
+    g = c.gamma[-1]
+    inner = c.gamma[:-1] or (1,)
+    column = c.lags.reshape(-1, 2 * g - 1)[:, g - 1:].T
+    return column.take(_lag_gather(inner, Nesting.identity(len(inner))), axis=1)
+
+
+@one_blas_thread
+def _first_block_column(c: CorrelationSignal) -> np.ndarray:
+    """First block-column of the inverse of the assembled matrix, shape
+    (gamma_{d-1}, h, h), by the multichannel Levinson recursion over the
+    slowest dimension (Whittle 1963; Wiggins & Robinson 1965).
+
+    The forward solution x (x_0 = I) of the n + 1 leading block-rows has
+    error P; the first block-column is x P^{-1}. Every T(k) is
+    persymmetric, J T(k) J = T(k)^T with J the reversal of the inner flat
+    index, so the backward solution and error are y_k = J conj(x_{n-k}) J
+    and Q = J conj(P) J, and each order costs one h x h inversion.
+
+    Q at order n is the Schur complement that the dense Cholesky of R
+    factors at block-row n, so it is held to the dense floor, 1e-12 c(0),
+    and a refusal names the dense pivot n h + k. With Q = L L^H, P is
+    updated as the dense Cholesky updates it, P - W^H W with W = L^{-1}
+    Delta: an explicit Q^{-1} in that product loses the small pivots of a
+    near-singular R and refuses matrices the dense path accepts.
+    """
+    t = _toeplitz_blocks(c)
+    g, h = t.shape[0], t.shape[-1]
+    floor = PD_PIVOT_REL * c.zero_lag
+    p = t[0].copy()
+    # block j of ``row`` is T(g - 1 - j), so [T(n + 1) ... T(1)] is one slice
+    row = t[::-1].transpose(1, 0, 2).reshape(h, g * h)
+    del t
+    x = np.zeros((g, h, h), dtype=complex)
+    x[0] = np.eye(h)
+    for n in range(g):
+        try:
+            linv = _inverse_factor_floored(p[::-1, ::-1].conj(), floor)
+        except NotPositiveDefinite as exc:
+            pivot = n * h + exc.pivot_index
+            raise NotPositiveDefinite(
+                f"pivot {pivot} is {exc.pivot_value:.6g} (floor {floor:.6g})",
+                pivot_index=pivot, pivot_value=exc.pivot_value,
+            ).tagged(1, ()) from exc
+        if n == g - 1:
+            break
+        delta = row[:, (g - 2 - n) * h:(g - 1) * h] @ x[:n + 1].reshape(-1, h)
+        w = linv @ delta
+        gain = linv.conj().T @ w
+        backward = x[n::-1, ::-1, ::-1].conj().reshape(-1, h)
+        x[1:n + 2] -= (backward @ gain).reshape(-1, h, h)
+        p -= w.conj().T @ w
+    q_inv = linv.conj().T @ linv
+    return x @ q_inv[::-1, ::-1].conj()
+
+
+def _cross_check(c: CorrelationSignal, blocks: np.ndarray, tol: float = 1e-8) -> None:
+    """Dense inverse against the recursion's blocks, and (d > 1) the
+    inverse under the reversed nesting walked back against the dense one."""
     spec = DimSpec(c.gamma)
+    try:
+        r_inv = invert_pd(assemble(c).entries)
+    except NotPositiveDefinite as exc:
+        raise exc.tagged(1, ()) from exc
+    dense = init_stage(r_inv, spec).blocks
+    err = float(np.max(np.abs(dense - blocks)))
+    if err > tol * float(np.max(np.abs(dense))):
+        raise ArithmeticError(
+            f"recursion's first block-column deviates from the dense inverse by {err:.3g}"
+        )
     if spec.d == 1:
         return
     reversed_nesting = Nesting(tuple(reversed(range(spec.d))))
@@ -193,23 +269,21 @@ def sequential_spectrum(c: CorrelationSignal, grid: SpectralGridSpec,
                         cross_check_walking: bool = False) -> SpectrumEstimate:
     """Full sweep over all dimensions; returns S = 1 / G_final on the grid.
 
-    The correlation matrix is assembled under the identity nesting and
-    inverted once; each dimension is then converted to an explicit
-    frequency axis from the highest label down. With
-    ``cross_check_walking`` the initial inverse is additionally computed
-    under the reversed nesting and walked back as a consistency check.
+    The first block-column of the inverse correlation matrix comes from
+    the block Levinson recursion over the slowest dimension; each
+    dimension is then converted to an explicit frequency axis from the
+    highest label down. With ``cross_check_walking`` the matrix is also
+    assembled and inverted densely under the identity and the reversed
+    nesting; the reversed inverse is walked back and both must agree with
+    the recursion.
     """
     spec = DimSpec(c.gamma)
     if grid.d != spec.d:
         raise DimensionMismatch(f"{grid.d}-d grid for a {spec.d}-d signal")
-    r = assemble(c)
-    try:
-        r_inv = invert_pd(r.entries)
-    except NotPositiveDefinite as exc:
-        raise exc.tagged(1, ()) from exc
+    blocks = _first_block_column(c)
     if cross_check_walking:
-        _verify_walked_inverse(c, r_inv)
-    field = init_stage(r_inv, spec)
+        _cross_check(c, blocks)
+    field = StageField(spec, 1, (), (), blocks)
     for _ in range(spec.d):
         field = stage_update(field, grid)
     # leading axes run over dimensions d-1..0; reorder to m_0..m_{d-1}

@@ -101,8 +101,12 @@ def cholesky(h) -> np.ndarray:
     a = np.asarray(h, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise SizeMismatch(f"expected square matrices, got shape {a.shape}")
-    floors = PD_PIVOT_REL * np.max(np.diagonal(a, axis1=-2, axis2=-1).real,
-                                   axis=-1, initial=0.0)
+    return _cholesky(a, PD_PIVOT_REL * np.max(np.diagonal(a, axis1=-2, axis2=-1).real,
+                                              axis=-1, initial=0.0))
+
+
+def _cholesky(a: np.ndarray, floors) -> np.ndarray:
+    """``cholesky`` with given absolute pivot floors, one per matrix."""
     try:
         lower = np.linalg.cholesky(a)
         pivots = np.diagonal(lower, axis1=-2, axis2=-1).real ** 2
@@ -126,11 +130,19 @@ def invert_pd(h) -> np.ndarray:
     # numpy's LAPACK inverts L rather than scipy's solve_triangular: calls
     # that alternate between the two libraries' BLAS thread pools stall for
     # milliseconds each. Each temporary is dropped as soon as it is used and
-    # the symmetrization runs in place: the initial q x q inverse is the
-    # sweep's memory peak.
+    # the symmetrization runs in place: the dense q x q inverse is the
+    # memory peak of its callers.
     linv = np.linalg.inv(cholesky(h))
     inv = linv.conj().swapaxes(-1, -2) @ linv
     del linv
     inv += inv.conj().swapaxes(-1, -2)
     inv *= 0.5
     return inv
+
+
+def _inverse_factor_floored(a: np.ndarray, floor: float) -> np.ndarray:
+    """L^{-1} of one Hermitian matrix A = L L^H whose pivots must exceed the
+    absolute ``floor`` rather than 1e-12 times its own largest diagonal
+    entry: a diagonal block of a larger matrix is held to that matrix's
+    floor."""
+    return np.linalg.inv(_cholesky(np.asarray(a, dtype=complex), np.float64(floor)))

@@ -156,6 +156,18 @@ class TestEstimate:
         assert run(["match", str(spectrum), str(corr)]) == 4
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    def test_non_utf8_lag_file_exits_4(self, tmp_path, capsys):
+        corr = tmp_path / "bad.ndcorr"
+        corr.write_bytes(b"ndcorr 1\ngamma: 2\n-1 0.5 0.0\n0 1.0\xff 0.0\n1 0.5 0.0\n")
+        spectrum = tmp_path / "flat.csv"
+        spectrum.write_text("f_0,power\n0.0,1.0\n0.5,1.0\n")
+        for argv in (["estimate", str(corr), "--grid", "8"],
+                     ["estimate", str(corr), "--grid", "8", "--method", "capon"],
+                     ["match", str(spectrum), str(corr)]):
+            assert run(argv) == 4
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and "not UTF-8 text at byte 34" in err[0]
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_ridge_is_usage_error(self, tmp_path, capsys, value):
         corr = gen_cube(tmp_path)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,10 @@ from ndspec import (
     stage_update,
     synth_correlation,
 )
+from ndspec import estimator
 from ndspec.errors import DimensionMismatch, NotPositiveDefinite, SizeMismatch
+from ndspec.estimator import _first_block_column, _toeplitz_blocks
+from ndspec.linalg import cholesky
 
 
 def reference_update(field, grid):
@@ -285,6 +290,148 @@ class TestStageUpdate:
             stage_update(field, grid)
 
 
+class TestFirstBlockColumn:
+    @pytest.mark.parametrize("gamma", [(5,), (3, 2), (2, 3, 2), (3, 3, 3), (4, 1), (1, 4)])
+    def test_matches_dense_first_block_column(self, gamma):
+        rng = np.random.default_rng(sum(gamma) * len(gamma))
+        for _ in range(3):
+            c = random_correlation(rng, gamma)
+            dense = init_stage(invert_pd(assemble(c).entries), DimSpec(gamma)).blocks
+            blocks = _first_block_column(c)
+            assert blocks.shape == dense.shape
+            assert np.max(np.abs(blocks - dense)) <= 1e-11 * np.max(np.abs(dense))
+
+    def test_1d_is_the_prediction_polynomial_over_its_error_power(self):
+        rng = np.random.default_rng(13)
+        for order in (1, 2, 4, 8, 16):
+            c = random_correlation_1d(rng, order)
+            res = levinson_1d(c)
+            column = _first_block_column(c)[:, 0, 0]
+            expected = res.p / res.rho
+            assert np.max(np.abs(column - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("gamma", [(3,), (3, 2), (2, 3, 2), (3, 3, 3)])
+    def test_blocks_are_persymmetric(self, gamma):
+        # J T(k) J = T(k)^T, with J the reversal of the inner flat index
+        c = random_correlation(np.random.default_rng(14), gamma)
+        t = _toeplitz_blocks(c)
+        entries = assemble(c).entries
+        h = t.shape[-1]
+        assert np.array_equal(t, np.stack([entries[k * h:(k + 1) * h, :h]
+                                           for k in range(gamma[-1])]))
+        assert np.array_equal(t[:, ::-1, ::-1], t.swapaxes(-1, -2))
+
+    def test_builds_no_q_by_q_array(self):
+        c = random_correlation(np.random.default_rng(15), (10, 10, 10))
+        grid = SpectralGridSpec((2, 2, 2))
+        sequential_spectrum(c, grid)
+        tracemalloc.start()
+        try:
+            sequential_spectrum(c, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1000 ** 2
+
+
+def _lines(gamma, n_lines, noise, seed):
+    """n_lines unit spectral lines in white noise: R has rank n_lines plus
+    noise, so its Cholesky pivot n_lines is about the noise variance."""
+    rng = np.random.default_rng(seed)
+    peaks = tuple((tuple(rng.random(len(gamma))), 1.0) for _ in range(n_lines))
+    return synth_correlation(SpectralComposition(peaks=peaks, noise_var=noise), gamma)
+
+
+def _boosted(gamma, factor, seed):
+    """A positive definite signal with its lags at slowest-axis offset +-2
+    scaled by ``factor``: block-rows 0 and 1 of R are unchanged."""
+    c = random_correlation(np.random.default_rng(seed), gamma)
+    lags = c.lags.copy()
+    g = gamma[-1]
+    lags[..., [g - 3, g + 1]] *= factor
+    return CorrelationSignal(gamma, lags)
+
+
+def _pivot_refused(call):
+    try:
+        call()
+    except NotPositiveDefinite as exc:
+        return exc
+    return None
+
+
+class TestRefusalParity:
+    """The recursion refuses exactly where the dense Cholesky of the
+    assembled matrix does, at the same pivot. Every pivot here is kept
+    well away from the floor: within rounding of it, the two
+    factorizations may fall on different sides."""
+
+    GAMMAS = [(4,), (2, 3), (2, 2, 3)]
+
+    def check(self, c, expected_pivot):
+        dense = _pivot_refused(lambda: cholesky(assemble(c).entries))
+        sequential = _pivot_refused(
+            lambda: sequential_spectrum(c, SpectralGridSpec((4,) * c.d)))
+        if expected_pivot is None:
+            assert dense is None and sequential is None
+            return dense
+        assert dense.pivot_index == expected_pivot
+        assert sequential.pivot_index == expected_pivot
+        assert sequential.stage == 1 and sequential.frequency == ()
+        return sequential
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_non_positive_definite_at_order_2(self, gamma):
+        h = int(np.prod(gamma[:-1]))
+        for factor in (3.0, 10.0):
+            exc = self.check(_boosted(gamma, factor, 3), 2 * h)
+            assert exc.pivot_value < 0
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_singular_inside_block_row_2(self, gamma):
+        h = int(np.prod(gamma[:-1]))
+        self.check(_lines(gamma, 2 * h + 1, 1e-14, 4), 2 * h + 1)
+        self.check(_lines(gamma, 2 * h, 0.0, 3), 2 * h)
+
+    @pytest.mark.parametrize("gamma", [(2, 2), (2, 3)])
+    def test_names_the_dense_pivot_inside_a_block_row(self, gamma):
+        # three lines on the diagonal f_0 = f_1: x(0, 1) = x(1, 0), so the
+        # backward error Q of block-row 1 fails at k = 0, while its
+        # persymmetric twin P = J conj(Q) J would fail at k = 1
+        peaks = tuple(((f, f), 1.0) for f in (0.1, 0.35, 0.7))
+        self.check(synth_correlation(SpectralComposition(peaks=peaks, noise_var=1e-14),
+                                     gamma), 2)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_pivot_between_own_and_dense_floor_is_refused(self, gamma):
+        # the block-row-2 Schur complement is all noise, about 1e-14: its
+        # pivots pass 1e-12 times its own scale but not 1e-12 c(0)
+        h = int(np.prod(gamma[:-1]))
+        c = _lines(gamma, 2 * h, 1e-14, 3)
+        r = assemble(c).entries
+        n = 2 * h
+        schur = r[n:n + h, n:n + h] - r[n:n + h, :n] @ np.linalg.solve(r[:n, :n], r[:n, n:n + h])
+        exc = self.check(c, 2 * h)
+        assert 1e-12 * np.max(schur.diagonal().real) < exc.pivot_value < 1e-12 * c.zero_lag
+        np.linalg.cholesky(r)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_near_singular_is_accepted_by_both(self, gamma):
+        h = int(np.prod(gamma[:-1]))
+        self.check(_lines(gamma, 2 * h, 1e-9, 3), None)
+
+    @pytest.mark.parametrize("gamma", [(2, 3), (3, 3), (2, 2, 3)])
+    def test_lines_on_a_frequency_lattice_are_accepted_by_both(self, gamma):
+        # two frequencies per axis make T(0) and every Q near-singular: an
+        # explicit Q^{-1} in the Schur update refuses most of these seeds
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            axes = [rng.random(2) for _ in gamma]
+            peaks = tuple((tuple(float(rng.choice(f)) for f in axes), 1.0) for _ in range(6))
+            self.check(synth_correlation(SpectralComposition(peaks=peaks, noise_var=1e-10),
+                                         gamma), None)
+
+
 class TestSequentialSpectrum:
     def test_1d_equals_levinson_oracle(self):
         rng = np.random.default_rng(8)
@@ -343,3 +490,13 @@ class TestSequentialSpectrum:
         checked = sequential_spectrum(c, grid, cross_check_walking=True)
         plain = sequential_spectrum(c, grid)
         assert np.array_equal(checked.power, plain.power)
+
+    @pytest.mark.parametrize("gamma", [(3,), (2, 3)])
+    def test_cross_check_compares_the_recursion_with_the_dense_inverse(self, gamma, monkeypatch):
+        c = random_correlation(np.random.default_rng(17), gamma)
+        grid = SpectralGridSpec((4,) * len(gamma))
+        honest = estimator._first_block_column
+        monkeypatch.setattr(estimator, "_first_block_column", lambda c: honest(c) * (1 + 1e-6))
+        sequential_spectrum(c, grid)
+        with pytest.raises(ArithmeticError, match="first block-column"):
+            sequential_spectrum(c, grid, cross_check_walking=True)

@@ -206,6 +206,7 @@ class TestOneBlasThread:
         monkeypatch.setattr(np, "tensordot", lambda *a, **k: seen.append(get()) or fourier_sum(*a, **k))
         rng = np.random.default_rng(16)
         sequential_spectrum(random_correlation(rng, (2, 3)), SpectralGridSpec((4, 5)))
-        # three factorizations, then one Fourier sum per index of each swept axis
-        assert len(seen) == 3 + 5 + 4 and set(seen) == {1}
+        # one factorization per recursion order (gamma_1 = 3) and per stage
+        # (d = 2), then one Fourier sum per index of each swept axis
+        assert len(seen) == 3 + 2 + 5 + 4 and set(seen) == {1}
         assert get() == before
