@@ -1,15 +1,15 @@
 """Sequential dimension-by-dimension spectral estimation.
 
 The estimator computes the first block-column of the inverse correlation
-matrix by the multichannel Levinson recursion over the slowest dimension
-and then sweeps the dimensions from the highest label down. Each stage
-holds, at
-every already-processed frequency tuple, the first block-column of a
-running inverse; the stage forms the block Fourier sum M(w) over a new
-frequency axis, pushes it through the inverted zero block as the
-congruence M [G(0)]^{-1} M^H, and extracts a smaller first block-column
-for the next stage. After the last dimension the field is scalar and the
-power spectrum is its reciprocal.
+matrix by the multichannel Levinson recursion over the slowest dimension,
+without assembling the matrix, and then sweeps the dimensions from the
+highest label down. Each stage holds, at every already-processed
+frequency tuple, the first block-column of a running inverse; the stage
+forms the block Fourier sum M(w) over a new frequency axis, pushes it
+through the inverted zero block as the congruence M [G(0)]^{-1} M^H, and
+extracts a smaller first block-column for the next stage. After the
+last dimension the field is scalar and the power spectrum is its
+reciprocal.
 
 In one dimension the sweep reproduces the classical autoregressive
 (maximum entropy) spectrum of the lag sequence exactly: the first column
