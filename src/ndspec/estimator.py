@@ -28,7 +28,7 @@ from .correlation import CorrelationSignal, _lag_gather, assemble
 from .errors import DimensionMismatch, NotPositiveDefinite, SizeMismatch
 from .grid import SpectralGridSpec, SpectrumEstimate
 from .indexing import DimSpec, Nesting, apply_walking, walking_map
-from .linalg import PD_PIVOT_REL, _inverse_factor_floored, invert_pd, one_blas_thread
+from .linalg import PD_PIVOT_REL, _cholesky, invert_pd, one_blas_thread
 
 
 @dataclass(frozen=True)
@@ -209,7 +209,7 @@ def _first_block_column(c: CorrelationSignal) -> np.ndarray:
     """
     t = _toeplitz_blocks(c)
     g, h = t.shape[0], t.shape[-1]
-    floor = PD_PIVOT_REL * c.zero_lag
+    floor = np.float64(PD_PIVOT_REL * c.zero_lag)
     p = t[0].copy()
     # block j of ``row`` is T(g - 1 - j), so [T(n + 1) ... T(1)] is one slice
     row = t[::-1].transpose(1, 0, 2).reshape(h, g * h)
@@ -218,7 +218,7 @@ def _first_block_column(c: CorrelationSignal) -> np.ndarray:
     x[0] = np.eye(h)
     for n in range(g):
         try:
-            linv = _inverse_factor_floored(p[::-1, ::-1].conj(), floor)
+            linv = np.linalg.inv(_cholesky(p[::-1, ::-1].conj(), floor))
         except NotPositiveDefinite as exc:
             pivot = n * h + exc.pivot_index
             raise NotPositiveDefinite(

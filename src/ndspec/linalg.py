@@ -106,7 +106,8 @@ def cholesky(h) -> np.ndarray:
 
 
 def _cholesky(a: np.ndarray, floors) -> np.ndarray:
-    """``cholesky`` with given absolute pivot floors, one per matrix."""
+    """``cholesky`` of a complex stack with given absolute pivot floors,
+    an array with one floor per matrix."""
     try:
         lower = np.linalg.cholesky(a)
         pivots = np.diagonal(lower, axis1=-2, axis2=-1).real ** 2
@@ -138,11 +139,3 @@ def invert_pd(h) -> np.ndarray:
     inv += inv.conj().swapaxes(-1, -2)
     inv *= 0.5
     return inv
-
-
-def _inverse_factor_floored(a: np.ndarray, floor: float) -> np.ndarray:
-    """L^{-1} of one Hermitian matrix A = L L^H whose pivots must exceed the
-    absolute ``floor`` rather than 1e-12 times its own largest diagonal
-    entry: a diagonal block of a larger matrix is held to that matrix's
-    floor."""
-    return np.linalg.inv(_cholesky(np.asarray(a, dtype=complex), np.float64(floor)))
