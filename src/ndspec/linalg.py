@@ -2,71 +2,93 @@
 
 Every function takes a stack of matrices, shape (..., n, n); a single
 matrix is a stack with no leading axes. Hermitian inputs are read from
-the lower triangle. The whole stack goes through one numpy LAPACK call;
+the lower triangle. The whole stack is factored in one numpy LAPACK call;
 only when it fails is it factored again matrix by matrix with scipy's
 zpotrf, in C order, to name the first failing matrix and pivot.
+
+A single matrix is inverted from its factor in place by scipy's zpotri,
+about a quarter of the work of inverting the factor and multiplying it
+out. A stack stays in numpy's batched calls: zpotri takes one matrix per
+Python call, and a sweep stage's stack can hold thousands of small zero
+blocks.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import importlib
 import threading
 from contextlib import ContextDecorator
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import zpotrf
+from scipy.linalg.lapack import zpotrf, zpotri
 
 from .errors import NotPositiveDefinite, SizeMismatch
 
 # Pivot floor relative to the largest diagonal entry of each matrix.
 PD_PIVOT_REL = 1e-12
+# Rows per block when a single inverse is mirrored to its upper triangle.
+_MIRROR_ROWS = 64
 
 
 @functools.cache
-def _numpy_openblas_threads():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
-    when numpy uses another BLAS."""
-    for path in (Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*"):
+def _openblas_calls(package: str):
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy or
+    scipy (``package``), or None when it uses another BLAS. The symbols
+    carry a ``64_`` suffix in a build with 64-bit integers and none in one
+    with 32-bit integers."""
+    libs = Path(importlib.import_module(package).__file__).resolve().parent.parent
+    for path in (libs / f"{package}.libs").glob("*openblas*"):
         lib = ctypes.CDLL(str(path))
         for name in ("scipy_openblas", "openblas"):
-            if hasattr(lib, f"{name}_set_num_threads64_"):
-                get = getattr(lib, f"{name}_get_num_threads64_")
-                put = getattr(lib, f"{name}_set_num_threads64_")
-                get.argtypes, get.restype = (), ctypes.c_int
-                put.argtypes, put.restype = (ctypes.c_int,), None
-                return get, put
+            for suffix in ("64_", ""):
+                if hasattr(lib, f"{name}_set_num_threads{suffix}"):
+                    get = getattr(lib, f"{name}_get_num_threads{suffix}")
+                    put = getattr(lib, f"{name}_set_num_threads{suffix}")
+                    get.argtypes, get.restype = (), ctypes.c_int
+                    put.argtypes, put.restype = (ctypes.c_int,), None
+                    return get, put
     return None
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) pairs of numpy's and scipy's bundled OpenBLAS, in that
+    order; empty when neither uses one."""
+    return tuple(calls for calls in map(_openblas_calls, ("numpy", "scipy")) if calls)
+
+
 class _OneBlasThread(ContextDecorator):
-    """Run the enclosed calls on one thread of numpy's bundled OpenBLAS and
-    restore the caller's count when the outermost call returns (no-op for
+    """Run the enclosed calls on one thread of each bundled OpenBLAS and
+    restore the caller's counts when the outermost call returns (no-op for
     another BLAS). A second thread that must be woken, or that shares a
     core with other work, made the sweep's calls cost up to tens of times
-    their single-thread time. ``find`` returns (get, set) of the count."""
+    their single-thread time. ``find`` returns the (get, set) pairs of the
+    counts, or None."""
 
     def __init__(self, find):
-        self.find, self.lock, self.depth, self.saved = find, threading.Lock(), 0, 1
+        self.find, self.lock, self.depth, self.saved = find, threading.Lock(), 0, ()
 
     def __enter__(self):
         with self.lock:
-            calls = self.find()
-            if calls and self.depth == 0:
-                self.saved = calls[0]()
-                calls[1](1)
+            if self.depth == 0:
+                calls = self.find() or ()
+                self.saved = tuple(get() for get, _ in calls)
+                for _, put in calls:
+                    put(1)
             self.depth += 1
 
     def __exit__(self, *exc):
         with self.lock:
             self.depth -= 1
-            calls = self.find()
-            if calls and self.depth == 0:
-                calls[1](self.saved)
+            if self.depth == 0:
+                for (_, put), count in zip(self.find() or (), self.saved):
+                    put(count)
 
 
-one_blas_thread = _OneBlasThread(_numpy_openblas_threads)
+one_blas_thread = _OneBlasThread(_openblas_threads)
 
 
 def _factor_one(a: np.ndarray, floor: float, index: tuple[int, ...]) -> np.ndarray:
@@ -123,19 +145,46 @@ def _cholesky(a: np.ndarray, floors) -> np.ndarray:
 
 @one_blas_thread
 def invert_pd(h) -> np.ndarray:
-    """Inverses of a stack of Hermitian positive definite matrices.
+    """Inverses of a stack of Hermitian positive definite matrices, each
+    exactly Hermitian with a real diagonal.
 
-    Cholesky factorization, then L^{-H} L^{-1}; each result is
-    symmetrized to exact Hermitian form.
+    The factor is ``cholesky``'s, with its pivot floor and refusals. A
+    single matrix (``ndim == 2``) is then inverted in place in its factor's
+    memory by LAPACK's zpotri; a stack takes one batched inverse of L and
+    the product L^{-H} L^{-1}, which beats a Python call per matrix on the
+    sweep's many small zero blocks.
     """
-    # numpy's LAPACK inverts L rather than scipy's solve_triangular: calls
-    # that alternate between the two libraries' BLAS thread pools stall for
-    # milliseconds each. Each temporary is dropped as soon as it is used and
-    # the symmetrization runs in place: the dense q x q inverse is the
-    # memory peak of its callers.
-    linv = np.linalg.inv(cholesky(h))
+    lower = cholesky(h)
+    if lower.ndim == 2 and lower.size:
+        # C-ordered L is Fortran-ordered L^T, an upper factor of conj(h):
+        # zpotri leaves the upper triangle of conj(h)^{-1} there, which is
+        # the lower triangle of h^{-1} in C order, and copies nothing.
+        inv, _ = zpotri(lower.T, lower=0, overwrite_c=1)
+        return _mirror_lower(inv.T)
+    # each temporary is dropped as soon as it is used and the symmetrization
+    # runs in place
+    linv = np.linalg.inv(lower)
+    del lower
     inv = linv.conj().swapaxes(-1, -2) @ linv
     del linv
     inv += inv.conj().swapaxes(-1, -2)
     inv *= 0.5
     return inv
+
+
+def _mirror_lower(a: np.ndarray) -> np.ndarray:
+    """Fill the strict upper triangle of the square ``a`` from its
+    conjugated strict lower triangle and make its diagonal real, in place.
+
+    Rows go in blocks of _MIRROR_ROWS, so the temporaries stay a small
+    fraction of ``a``: the q x q inverse is the memory peak of Capon.
+    """
+    n = a.shape[0]
+    rows = min(n, _MIRROR_ROWS)
+    upper = np.arange(n) > np.arange(rows)[:, None]
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        np.copyto(a[start:stop, start:], a[start:, start:stop].conj().T,
+                  where=upper[:stop - start, :n - start])
+    a.flat[::n + 1] = a.diagonal().real
+    return a

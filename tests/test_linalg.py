@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy
 
 from conftest import random_correlation, random_pd_matrix
 from ndspec import SpectralGridSpec, cholesky, invert_pd, linalg, sequential_spectrum
@@ -114,6 +115,62 @@ class TestInvertPd:
                                        rtol=1e-10, atol=1e-12)
             assert np.array_equal(out[k], out[k].conj().T)
 
+    @staticmethod
+    def ill_conditioned(rng, n, cond):
+        """Hermitian positive definite matrix with eigenvalues spread
+        logarithmically from 1 down to 1 / ``cond``."""
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        a = (q * np.logspace(0, -np.log10(cond), n)) @ q.conj().T
+        return 0.5 * (a + a.conj().T)
+
+    def test_single_matches_stack_path(self):
+        rng = np.random.default_rng(18)
+        cases = [random_pd_matrix(rng, n) for n in (1, 2, 9, 64, 65, 150)]
+        cases += [self.ill_conditioned(rng, n, cond) for n, cond in
+                  ((5, 1e6), (27, 1e10), (70, 1e12), (130, 1e9))]
+        for h in cases:
+            single, stacked = invert_pd(h), invert_pd(h[None])[0]
+            bound = 1e-12 * np.linalg.cond(h) * np.max(np.abs(stacked))
+            assert np.max(np.abs(single - stacked)) <= bound
+
+    def test_single_exactly_hermitian_with_real_diagonal(self):
+        rng = np.random.default_rng(19)
+        for n in (1, 3, 63, 64, 65, 129, 200):
+            out = invert_pd(random_pd_matrix(rng, n))
+            assert np.array_equal(out, out.conj().T)
+            assert np.all(out.diagonal().imag == 0.0)
+            assert not np.any(np.signbit(out.diagonal().imag))
+
+    def test_leaves_the_input_unmodified(self):
+        rng = np.random.default_rng(20)
+        for h in (random_pd_matrix(rng, 70), np.asfortranarray(random_pd_matrix(rng, 5))):
+            kept = h.copy()
+            out = invert_pd(h)
+            assert np.array_equal(h, kept)
+            assert not np.shares_memory(out, h)
+            np.testing.assert_allclose(out @ h, np.eye(h.shape[0]), atol=1e-9)
+
+    @pytest.mark.parametrize("h, pivot, value", [
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), 1, -3.0),
+        (np.diag([1.0, 1e-13, 1.0]), 1, 1e-13),
+        (np.array([[4.0, 2.0, 0.0], [2.0, 1.0 + 1e-13, 0.0], [0.0, 0.0, 1.0]]), 1, 1e-13),
+        (np.zeros((3, 3)), 0, 0.0),
+    ])
+    def test_single_refusal_names_the_pivot(self, h, pivot, value):
+        with pytest.raises(NotPositiveDefinite) as info:
+            invert_pd(h)
+        assert info.value.pivot_index == pivot
+        assert info.value.pivot_value == pytest.approx(value, rel=1e-3, abs=1e-300)
+        assert info.value.index == ()
+        with pytest.raises(NotPositiveDefinite) as factored:
+            cholesky(h)
+        assert (info.value.pivot_index, info.value.pivot_value, info.value.index) == (
+            factored.value.pivot_index, factored.value.pivot_value, factored.value.index)
+
+    def test_non_square_single_matrix(self):
+        with pytest.raises(SizeMismatch):
+            invert_pd(np.zeros((2, 3)))
+
 
 class TestOneBlasThread:
     @staticmethod
@@ -125,7 +182,7 @@ class TestOneBlasThread:
             calls.append(n)
             count[0] = n
 
-        return linalg._OneBlasThread(lambda: (lambda: count[0], put)), calls
+        return linalg._OneBlasThread(lambda: ((lambda: count[0], put),)), calls
 
     def test_nested_calls_set_once_and_restore_once(self):
         count = [4]
@@ -194,12 +251,17 @@ class TestOneBlasThread:
         with pin:
             assert np.array_equal(invert_pd(np.eye(2)), np.eye(2))
 
+    @staticmethod
+    def openblas_get(package, config):
+        """The thread-count getter of ``package``'s bundled OpenBLAS; skips
+        the test when its build ``config`` names another BLAS."""
+        if "openblas" not in config.get("Build Dependencies", {}).get("blas", {}).get("name", ""):
+            pytest.skip(f"{package} is not built with OpenBLAS here")
+        assert linalg._openblas_calls(package) is not None
+        return linalg._openblas_calls(package)[0]
+
     def test_sweep_runs_on_one_thread(self, monkeypatch):
-        config = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
-        if "openblas" not in config.get("blas", {}).get("name", ""):
-            pytest.skip("numpy is not built with OpenBLAS here")
-        assert linalg._numpy_openblas_threads() is not None
-        get = linalg._numpy_openblas_threads()[0]
+        get = self.openblas_get("numpy", getattr(np.__config__, "CONFIG", {}))
         before, seen = get(), []
         factor, fourier_sum = np.linalg.cholesky, np.tensordot
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: seen.append(get()) or factor(a))
@@ -210,3 +272,26 @@ class TestOneBlasThread:
         # (d = 2), then one Fourier sum per index of each swept axis
         assert len(seen) == 3 + 2 + 5 + 4 and set(seen) == {1}
         assert get() == before
+
+    def test_single_inverse_pins_both_libraries(self, monkeypatch):
+        get_numpy = self.openblas_get("numpy", getattr(np.__config__, "CONFIG", {}))
+        get_scipy = self.openblas_get("scipy", scipy.show_config(mode="dicts"))
+        inverse, seen = linalg.zpotri, []
+
+        def spy(*args, **kwargs):
+            seen.append((get_numpy(), get_scipy()))
+            return inverse(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "zpotri", spy)
+        h = random_pd_matrix(np.random.default_rng(17), 6)
+        original = [(put, get()) for get, put in linalg._openblas_threads()]
+        try:
+            # a caller's count other than 1, so that restoring it shows
+            for put, _ in original:
+                put(2)
+            np.testing.assert_allclose(invert_pd(h), np.linalg.inv(h), rtol=1e-10, atol=1e-12)
+            assert (get_numpy(), get_scipy()) == (2, 2)
+        finally:
+            for put, count in original:
+                put(count)
+        assert seen == [(1, 1)]
