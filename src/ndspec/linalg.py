@@ -74,9 +74,8 @@ class _OneBlasThread(ContextDecorator):
     def __enter__(self):
         with self.lock:
             if self.depth == 0:
-                calls = self.find() or ()
-                self.saved = tuple(get() for get, _ in calls)
-                for _, put in calls:
+                self.saved = tuple((put, get()) for get, put in self.find() or ())
+                for put, _ in self.saved:
                     put(1)
             self.depth += 1
 
@@ -84,7 +83,7 @@ class _OneBlasThread(ContextDecorator):
         with self.lock:
             self.depth -= 1
             if self.depth == 0:
-                for (_, put), count in zip(self.find() or (), self.saved):
+                for put, count in self.saved:
                     put(count)
 
 
