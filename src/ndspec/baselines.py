@@ -144,6 +144,28 @@ class MatchReport:
         return max(entry.error for entry in self.per_lag)
 
 
+def _match_arrays(s: SpectrumEstimate, c: CorrelationSignal):
+    """(reconstructed lags, per-lag error, near-zero mask) of
+    ``correlation_match`` as lag-box arrays."""
+    if s.grid.d != c.d:
+        raise DimensionMismatch(f"{s.grid.d}-d spectrum for a {c.d}-d signal")
+    coarse = [axis for axis in range(c.d)
+              if s.grid.counts[axis] < 2 * c.gamma[axis] - 1]
+    if coarse:
+        warnings.warn(
+            f"grid counts {s.grid.counts} under-resolve the lag box for axes {coarse}",
+            AliasingWarning,
+            stacklevel=3,
+        )
+    reconstructed = _hermitian(
+        np.fft.fftn(s.power)[_wrap(c.gamma, s.grid.counts)] / s.grid.size
+    )
+    magnitude = np.abs(c.lags)
+    near = magnitude < NEAR_ZERO_LAG
+    error = np.abs(reconstructed - c.lags) / np.where(near, 1.0, magnitude)
+    return reconstructed, error, near
+
+
 def correlation_match(s: SpectrumEstimate, c: CorrelationSignal) -> MatchReport:
     """Reconstruct every stored lag from the gridded spectrum.
 
@@ -153,22 +175,7 @@ def correlation_match(s: SpectrumEstimate, c: CorrelationSignal) -> MatchReport:
     |r| falls below the near-zero threshold. Warns when some axis has
     fewer than 2 gamma_i - 1 points, where reconstructed lags alias.
     """
-    if s.grid.d != c.d:
-        raise DimensionMismatch(f"{s.grid.d}-d spectrum for a {c.d}-d signal")
-    coarse = [axis for axis in range(c.d)
-              if s.grid.counts[axis] < 2 * c.gamma[axis] - 1]
-    if coarse:
-        warnings.warn(
-            f"grid counts {s.grid.counts} under-resolve the lag box for axes {coarse}",
-            AliasingWarning,
-            stacklevel=2,
-        )
-    reconstructed = _hermitian(
-        np.fft.fftn(s.power)[_wrap(c.gamma, s.grid.counts)] / s.grid.size
-    )
-    magnitude = np.abs(c.lags)
-    near = magnitude < NEAR_ZERO_LAG
-    error = np.abs(reconstructed - c.lags) / np.where(near, 1.0, magnitude)
+    reconstructed, error, near = _match_arrays(s, c)
     entries = [
         LagMatch(lag, original, rhat, err, "abs" if abs_mode else "rel")
         for lag, original, rhat, err, abs_mode in zip(

@@ -12,17 +12,20 @@ Exit codes: 0 success, 2 usage, 3 numerical (not positive definite),
 from __future__ import annotations
 
 import argparse
-import io
 import math
-import re
 import sys
 
 import numpy as np
 
-from .baselines import capon_spectrum, correlation_match, cost_report
+from .baselines import _match_arrays, capon_spectrum, cost_report
 from .correlation import (
     SpectralComposition,
+    _csv_rows,
     _fmt,
+    _lag_prefixes,
+    _parse_rows,
+    _prefixes,
+    _read_table,
     assemble,
     load_ndcorr,
     ndcorr_lines,
@@ -112,36 +115,21 @@ def _write_lines(path, lines) -> None:
             fh.write("\n".join(lines) + "\n")
 
 
-# A line of whitespace only, with the line break before it. np.loadtxt skips
-# empty lines but refuses whitespace-only ones, which the format treats as blank.
-_BLANK_LINE = re.compile(r"\n\s*\n")
-
-
 def _load_spectrum_csv(path) -> SpectrumEstimate:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise FileFormatError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
-    head, newline, rest = text.lstrip().partition("\n")
-    head = head.rstrip()
+    head, rows = _read_table(path, 1)
     if not head:
         raise FileFormatError(f"{path}: empty spectrum file")
-    header = head.split(",")
+    header = head[0].split(",")
     if len(header) < 2 or header[-1] != "power" or header[0] != "f_0":
-        raise FileFormatError(f"{path}: unexpected header {head!r}")
+        raise FileFormatError(f"{path}: unexpected header {head[0]!r}")
     d = len(header) - 1
-    body = _BLANK_LINE.sub("\n", newline + rest).strip()
-    if not body:
+    if not rows:
         raise FileFormatError(f"{path}: no data rows")
-    try:
-        table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        if any(line.count(",") != d for line in body.split("\n") if line.strip()):
-            raise FileFormatError(f"{path}: rows do not match the header width") from exc
-        raise FileFormatError(f"{path}: malformed data row") from exc
-    if table.shape[1] != d + 1:
-        raise FileFormatError(f"{path}: rows do not match the header width")
+    table = _parse_rows(
+        path, rows, np.dtype([("row", np.float64, (d + 1,))]), ",",
+        lambda line: ("rows do not match the header width" if line.count(",") != d
+                      else "malformed data row"),
+    )["row"]
     if not np.isfinite(table).all():
         raise FileFormatError(f"{path}: non-finite value in a data row")
     counts = []
@@ -172,19 +160,8 @@ def _load_spectrum_csv(path) -> SpectrumEstimate:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
-def _csv_rows(table) -> list[str]:
-    """Comma-joined rows of a 2D float array, each value in shortest round-trip
-    form, negative zero as 0.0: ``_fmt`` over whole arrays."""
-    table = np.asarray(table, dtype=float)
-    values = map(repr, (table + 0.0).ravel().tolist())
-    return [",".join(row) for row in zip(*[values] * table.shape[1])]
-
-
 def _spectrum_lines(s: SpectrumEstimate) -> list[str]:
-    prefixes = [""]
-    for count in s.grid.counts:
-        freqs = [repr(m / count) + "," for m in range(count)]
-        prefixes = [p + f for p in prefixes for f in freqs]
+    prefixes = _prefixes([[repr(m / count) for m in range(count)] for count in s.grid.counts], ",")
     header = ",".join([f"f_{i}" for i in range(s.grid.d)] + ["power"])
     return [header, *map(str.__add__, prefixes, _csv_rows(s.power.reshape(-1, 1)))]
 
@@ -250,15 +227,13 @@ def cmd_cost(args) -> int:
 def cmd_match(args) -> int:
     spectrum = _load_spectrum_csv(args.spectrum)
     signal = load_ndcorr(args.correlation)
-    report = correlation_match(spectrum, signal)
-    d = signal.d
-    lines = [",".join([f"t_{i}" for i in range(d)]
-                      + ["r_re", "r_im", "rhat_re", "rhat_im", "rel_err", "mode"])]
-    values = _csv_rows([(e.original.real, e.original.imag, e.reconstructed.real,
-                         e.reconstructed.imag, e.error) for e in report.per_lag])
-    for entry, row in zip(report.per_lag, values):
-        lines.append(",".join([*map(str, entry.lag), row, entry.mode]))
-    _write_lines(args.out, lines)
+    reconstructed, error, near = _match_arrays(spectrum, signal)
+    lags, rhat = signal.lags.ravel(), reconstructed.ravel()
+    values = _csv_rows(np.stack([lags.real, lags.imag, rhat.real, rhat.imag, error.ravel()], axis=1))
+    modes = np.where(near.ravel(), ",abs", ",rel").tolist()
+    header = ",".join([f"t_{i}" for i in range(signal.d)]
+                      + ["r_re", "r_im", "rhat_re", "rhat_im", "rel_err", "mode"])
+    _write_lines(args.out, [header, *map("".join, zip(_lag_prefixes(signal.gamma, ","), values, modes))])
     return EXIT_OK
 
 

@@ -21,8 +21,8 @@ cells exactly.
 
 from __future__ import annotations
 
-import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +34,7 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .indexing import DimSpec, Nesting, strides
-from .linalg import cholesky
+from .linalg import _ROW_BLOCK, cholesky
 
 # Loader / constructor tolerance for Hermitian symmetry, relative to the
 # largest lag magnitude.
@@ -42,10 +42,85 @@ HERMITIAN_REL_TOL = 1e-9
 
 NDCORR_MAGIC = "ndcorr 1"
 
+# A line of whitespace only, with the line break before it. np.loadtxt skips
+# empty lines but refuses whitespace-only ones under a delimiter, which the
+# text formats treat as blank.
+_BLANK_LINE = re.compile(r"\n\s*\n")
+# Lines per np.loadtxt call when a refused table is searched for its first
+# refused line: the search then costs about two parses of the table.
+_SCAN_LINES = 256
+
 
 def _fmt(x: float) -> str:
     """Shortest round-trip decimal form; negative zero collapses to 0.0."""
     return repr(float(x) + 0.0)
+
+
+def _csv_rows(table, sep: str = ",") -> list[str]:
+    """Rows of a 2D float array joined by ``sep``, each value in shortest
+    round-trip form, negative zero as 0.0: ``_fmt`` over whole arrays."""
+    table = np.asarray(table, dtype=float)
+    values = map(repr, (table + 0.0).ravel().tolist())
+    return [sep.join(row) for row in zip(*[values] * table.shape[1])]
+
+
+def _prefixes(columns, sep: str) -> list[str]:
+    """One string per tuple of the product of ``columns`` (lists of tokens,
+    first column slowest), each token followed by ``sep``."""
+    prefixes = [""]
+    for tokens in columns:
+        tokens = [token + sep for token in tokens]
+        prefixes = [p + token for p in prefixes for token in tokens]
+    return prefixes
+
+
+def _lag_prefixes(gamma, sep: str) -> list[str]:
+    """The integer components of every lag of the box, in lexicographic
+    order, each followed by ``sep``."""
+    return _prefixes([[str(t) for t in range(1 - g, g)] for g in gamma], sep)
+
+
+def _read_table(path, n_head: int) -> tuple[list[str], list[str]]:
+    """(head, rows) of a UTF-8 text table with blank and whitespace-only
+    lines dropped: up to ``n_head`` first lines, stripped, then the rest."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+    body = _BLANK_LINE.sub("\n", "\n" + text + "\n").strip()
+    lines = body.split("\n") if body else []
+    return [line.strip() for line in lines[:n_head]], lines[n_head:]
+
+
+def _parse_rows(path, rows: list[str], dtype: np.dtype, delimiter, malformed) -> np.ndarray:
+    """``rows`` parsed by one np.loadtxt call into a 1D array of ``dtype``
+    records, whose fields fix the column count of every row.
+
+    A refused table raises FileFormatError with ``malformed(line)`` for its
+    first line that np.loadtxt refuses on its own.
+    """
+    def parse(lines):
+        return np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)
+
+    def refused(lines) -> bool:
+        try:
+            parse(lines)
+        except ValueError:
+            return True
+        return False
+
+    try:
+        return parse(rows)
+    except ValueError as exc:
+        # a table is refused only when one of its lines is
+        line = rows[0]
+        for start in range(0, len(rows), _SCAN_LINES):
+            block = rows[start:start + _SCAN_LINES]
+            if refused(block):
+                line = next(ln for ln in block if refused([ln]))
+                break
+        raise FileFormatError(f"{path}: {malformed(line.strip())}") from exc
 
 
 @dataclass(frozen=True)
@@ -282,8 +357,15 @@ class BlockToeplitzMatrix:
         arr = np.asarray(self.entries, dtype=complex)
         if arr.shape != (self.spec.q, self.spec.q):
             raise ValueError(f"entries shape {arr.shape}, expected {(self.spec.q,) * 2}")
-        scale = float(np.max(np.abs(arr), initial=0.0))
-        if np.max(np.abs(arr - arr.conj().T), initial=0.0) > HERMITIAN_REL_TOL * max(scale, 1e-300):
+        # in blocks of rows, so the temporaries stay a small fraction of arr
+        scale, asymmetry = [], []
+        for start in range(0, self.spec.q, _ROW_BLOCK):
+            rows = arr[start:start + _ROW_BLOCK]
+            scale.append(np.max(np.abs(rows), initial=0.0))
+            asymmetry.append(np.max(
+                np.abs(rows - arr[:, start:start + _ROW_BLOCK].conj().T), initial=0.0))
+        scale = float(np.max(scale))
+        if np.max(asymmetry) > HERMITIAN_REL_TOL * max(scale, 1e-300):
             raise ValueError("entries are not Hermitian")
         object.__setattr__(self, "entries", arr)
 
@@ -319,11 +401,10 @@ def ndcorr_lines(c: CorrelationSignal) -> list[str]:
     in lexicographic order: the integer lag components followed by the
     real and imaginary parts.
     """
-    lines = [NDCORR_MAGIC, "gamma: " + " ".join(str(g) for g in c.gamma)]
-    for t, v in zip(itertools.product(*(range(1 - g, g) for g in c.gamma)),
-                    c.lags.ravel().tolist()):
-        lines.append(" ".join([str(ti) for ti in t] + [_fmt(v.real), _fmt(v.imag)]))
-    return lines
+    flat = c.lags.ravel()
+    values = _csv_rows(np.stack([flat.real, flat.imag], axis=1), " ")
+    return [NDCORR_MAGIC, "gamma: " + " ".join(str(g) for g in c.gamma),
+            *map(str.__add__, _lag_prefixes(c.gamma, " "), values)]
 
 
 def save_ndcorr(c: CorrelationSignal, path) -> None:
@@ -333,50 +414,44 @@ def save_ndcorr(c: CorrelationSignal, path) -> None:
 
 
 def load_ndcorr(path) -> CorrelationSignal:
-    """Read an ``ndcorr 1`` file, validating shape and Hermitian symmetry."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise FileFormatError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
-    lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
-    if not lines or lines[0] != NDCORR_MAGIC:
+    """Read an ``ndcorr 1`` file, validating shape and Hermitian symmetry.
+
+    The lag lines are parsed by one np.loadtxt call, d integer columns
+    then two float columns, and checked as arrays: the row count, every
+    lag inside the box, and no lag listed twice.
+    """
+    head, rows = _read_table(path, 2)
+    if not head or head[0] != NDCORR_MAGIC:
         raise FileFormatError(f"{path}: missing '{NDCORR_MAGIC}' header line")
-    if len(lines) < 2 or not lines[1].startswith("gamma:"):
+    if len(head) < 2 or not head[1].startswith("gamma:"):
         raise FileFormatError(f"{path}: missing 'gamma:' line")
     try:
-        gamma = tuple(int(tok) for tok in lines[1].split()[1:])
+        gamma = tuple(int(tok) for tok in head[1].split()[1:])
     except ValueError as exc:
-        raise FileFormatError(f"{path}: malformed gamma line: {lines[1]!r}") from exc
+        raise FileFormatError(f"{path}: malformed gamma line: {head[1]!r}") from exc
     if not gamma or any(g < 1 for g in gamma):
         raise FileFormatError(f"{path}: invalid orders {gamma}")
-    d = len(gamma)
     shape = tuple(2 * g - 1 for g in gamma)
     expected_rows = math.prod(shape)
-    rows = lines[2:]
     if len(rows) != expected_rows:
         raise FileFormatError(
             f"{path}: expected {expected_rows} lag lines, found {len(rows)}"
         )
-    lags = np.zeros(shape, dtype=complex)
-    seen = np.zeros(shape, dtype=bool)
-    for ln in rows:
-        toks = ln.split()
-        if len(toks) != d + 2:
-            raise FileFormatError(f"{path}: malformed lag line: {ln!r}")
-        try:
-            t = tuple(int(tok) for tok in toks[:d])
-            re, im = float(toks[d]), float(toks[d + 1])
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: malformed lag line: {ln!r}") from exc
-        if any(abs(ti) > g - 1 for ti, g in zip(t, gamma)):
-            raise FileFormatError(f"{path}: lag {t} outside the box for orders {gamma}")
-        idx = tuple(ti + g - 1 for ti, g in zip(t, gamma))
-        if seen[idx]:
-            raise FileFormatError(f"{path}: duplicate lag {t}")
-        seen[idx] = True
-        lags[idx] = complex(re, im)
+    dtype = np.dtype([("lag", np.int64, (len(gamma),)), ("value", np.float64, (2,))])
+    table = _parse_rows(path, rows, dtype, None, lambda line: f"malformed lag line: {line!r}")
+    lags, reach = table["lag"], np.array(gamma) - 1
+    outside = ((lags < -reach) | (lags > reach)).any(axis=1)
+    if outside.any():
+        t = tuple(lags[np.argmax(outside)].tolist())
+        raise FileFormatError(f"{path}: lag {t} outside the box for orders {gamma}")
+    cells = np.ravel_multi_index(tuple((lags + reach).T), shape)
+    listed = np.bincount(cells, minlength=expected_rows)
+    if listed.max() > 1:
+        t = tuple(lags[np.argmax(listed[cells] > 1)].tolist())
+        raise FileFormatError(f"{path}: duplicate lag {t}")
+    values = np.empty(expected_rows, dtype=complex)
+    values.real[cells], values.imag[cells] = table["value"].T
     try:
-        return CorrelationSignal(gamma, lags)
+        return CorrelationSignal(gamma, values.reshape(shape))
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc

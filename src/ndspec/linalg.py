@@ -29,8 +29,10 @@ from .errors import NotPositiveDefinite, SizeMismatch
 
 # Pivot floor relative to the largest diagonal entry of each matrix.
 PD_PIVOT_REL = 1e-12
-# Rows per block when a single inverse is mirrored to its upper triangle.
-_MIRROR_ROWS = 64
+# Rows per block when a q x q matrix is swept in row blocks (the mirror of a
+# single inverse, the Hermitian check of an assembled matrix), so the
+# temporaries stay a small fraction of the matrix.
+_ROW_BLOCK = 64
 
 
 @functools.cache
@@ -175,11 +177,11 @@ def _mirror_lower(a: np.ndarray) -> np.ndarray:
     """Fill the strict upper triangle of the square ``a`` from its
     conjugated strict lower triangle and make its diagonal real, in place.
 
-    Rows go in blocks of _MIRROR_ROWS, so the temporaries stay a small
+    Rows go in blocks of _ROW_BLOCK, so the temporaries stay a small
     fraction of ``a``: the q x q inverse is the memory peak of Capon.
     """
     n = a.shape[0]
-    rows = min(n, _MIRROR_ROWS)
+    rows = min(n, _ROW_BLOCK)
     upper = np.arange(n) > np.arange(rows)[:, None]
     for start in range(0, n, rows):
         stop = min(start + rows, n)
