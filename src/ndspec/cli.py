@@ -20,12 +20,6 @@ import numpy as np
 from .baselines import _match_arrays, capon_spectrum, cost_report
 from .correlation import (
     SpectralComposition,
-    _csv_rows,
-    _fmt,
-    _lag_prefixes,
-    _parse_rows,
-    _prefixes,
-    _read_table,
     assemble,
     load_ndcorr,
     ndcorr_lines,
@@ -41,6 +35,7 @@ from .estimator import sequential_spectrum
 from .grid import SpectralGridSpec, SpectrumEstimate
 from .indexing import DimSpec
 from .linalg import invert_pd
+from .textio import _csv_rows, _fmt, _lag_prefixes, _parse_rows, _prefixes, _read_table
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -161,7 +156,7 @@ def _load_spectrum_csv(path) -> SpectrumEstimate:
 
 
 def _spectrum_lines(s: SpectrumEstimate) -> list[str]:
-    prefixes = _prefixes([[repr(m / count) for m in range(count)] for count in s.grid.counts], ",")
+    prefixes = _prefixes([[repr(m / c) for m in range(c)] for c in s.grid.counts], ",")
     header = ",".join([f"f_{i}" for i in range(s.grid.d)] + ["power"])
     return [header, *map(str.__add__, prefixes, _csv_rows(s.power.reshape(-1, 1)))]
 
@@ -229,11 +224,13 @@ def cmd_match(args) -> int:
     signal = load_ndcorr(args.correlation)
     reconstructed, error, near = _match_arrays(spectrum, signal)
     lags, rhat = signal.lags.ravel(), reconstructed.ravel()
-    values = _csv_rows(np.stack([lags.real, lags.imag, rhat.real, rhat.imag, error.ravel()], axis=1))
+    values = _csv_rows(np.stack([lags.real, lags.imag, rhat.real, rhat.imag, error.ravel()],
+                                axis=1))
     modes = np.where(near.ravel(), ",abs", ",rel").tolist()
     header = ",".join([f"t_{i}" for i in range(signal.d)]
                       + ["r_re", "r_im", "rhat_re", "rhat_im", "rel_err", "mode"])
-    _write_lines(args.out, [header, *map("".join, zip(_lag_prefixes(signal.gamma, ","), values, modes))])
+    rows = map("".join, zip(_lag_prefixes(signal.gamma, ","), values, modes))
+    _write_lines(args.out, [header, *rows])
     return EXIT_OK
 
 
