@@ -31,6 +31,27 @@ def random_correlation(rng, gamma, n_peaks=3, noise_floor=0.2) -> CorrelationSig
     return synth_correlation(comp, gamma)
 
 
+def signed_zero_correlation(seed, gamma) -> CorrelationSignal:
+    """Seeded random signal for byte-level format checks: every other lag
+    before the zero lag, from the second on, and its Hermitian mirror become
+    a signed zero or a value below 1e-12; the first lag becomes
+    5e-324 - 1e300j."""
+    rng = np.random.default_rng(seed)
+    lags = random_correlation(rng, gamma).lags.copy()
+    flat = lags.reshape(-1)
+    mirror = flat[::-1]  # lag -t sits at the mirrored flat index of lag t
+    center = flat.size // 2
+    for k in range(1, center, 2):
+        if k % 3 == 1:
+            flat[k] = complex(rng.choice([-1e-13, 3e-14]), rng.choice([-0.0, 2e-15]))
+        else:
+            flat[k] = complex(-0.0, rng.choice([-0.0, 0.0, -0.5]))
+        mirror[k] = np.conj(flat[k])
+    if center:
+        flat[0], mirror[0] = 5e-324 - 1e300j, 5e-324 + 1e300j
+    return CorrelationSignal(gamma, lags)
+
+
 def random_correlation_1d(rng, order, n_peaks=3, noise_floor=0.2) -> CorrelationSignal:
     return random_correlation(rng, (order,), n_peaks, noise_floor)
 

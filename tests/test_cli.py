@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import signed_zero_correlation
 from ndspec import load_ndcorr
 from ndspec.cli import main
 
@@ -329,12 +330,92 @@ class TestSpectrumRefusals:
         assert loaded.power.tolist() == [2.0, 3.0]
 
 
+# lag lines of unit white noise at orders (2, 2); the last one is lag (1, 1)
+WHITE_ROWS = [f"{a} {b} {1.0 if a == b == 0 else 0.0} 0.0"
+              for a in (-1, 0, 1) for b in (-1, 0, 1)]
+
+
+def ndcorr_text(rows, head="ndcorr 1\ngamma: 2 2\n"):
+    return head + "".join(row + "\n" for row in rows)
+
+
+NDCORR_REFUSALS = {
+    "empty": "",
+    "bad_magic": ndcorr_text(WHITE_ROWS, "ndcorr 2\ngamma: 2 2\n"),
+    "no_gamma": ndcorr_text(WHITE_ROWS, "ndcorr 1\n"),
+    "malformed_gamma": ndcorr_text(WHITE_ROWS, "ndcorr 1\ngamma: 2 x\n"),
+    "float_lag": ndcorr_text([*WHITE_ROWS[:-1], "1.0 1 0.0 0.0"]),
+    "word_lag": ndcorr_text([*WHITE_ROWS[:-1], "x 1 0.0 0.0"]),
+    "separator_lag": ndcorr_text([*WHITE_ROWS[:-1], "1 0_1 0.0 0.0"]),
+    "separator_value": ndcorr_text([*WHITE_ROWS[:-1], "1 1 0_0.0 0.0"]),
+    "d_plus_1_tokens": ndcorr_text([*WHITE_ROWS[:-1], "1 1 0.0"]),
+    "d_plus_3_tokens": ndcorr_text([*WHITE_ROWS[:-1], "1 1 0.0 0.0 0.0"]),
+    "outside_box": ndcorr_text([*WHITE_ROWS[:-1], "1 2 0.0 0.0"]),
+    "duplicate": ndcorr_text([*WHITE_ROWS[:-1], "1 0 0.0 0.0"]),
+    "too_few_rows": ndcorr_text(WHITE_ROWS[:-1]),
+    "too_many_rows": ndcorr_text([*WHITE_ROWS, "1 1 0.0 0.0"]),
+    "nan": ndcorr_text([*WHITE_ROWS[:-1], "1 1 nan 0.0"]),
+    "inf": ndcorr_text([*WHITE_ROWS[:-1], "1 1 0.0 inf"]),
+    "not_hermitian": ndcorr_text([*WHITE_ROWS[:-1], "1 1 0.5 0.0"]),
+    "not_utf8": ndcorr_text([*WHITE_ROWS[:-1], "1 1 0.0\xff 0.0"]),
+}
+
+
+class TestNdcorrRefusals:
+    """Every malformed ndcorr file exits 4 with one stderr line and no warning."""
+
+    @pytest.fixture
+    def spectrum(self, tmp_path):
+        corr, path = tmp_path / "white.ndcorr", tmp_path / "white.csv"
+        corr.write_text(ndcorr_text(WHITE_ROWS))
+        assert run(["estimate", str(corr), "--grid", "3,3", "--out", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("command", ["estimate", "match"])
+    @pytest.mark.parametrize("case", sorted(NDCORR_REFUSALS))
+    def test_exits_4_with_one_line(self, tmp_path, spectrum, capsys, command, case):
+        corr = tmp_path / "bad.ndcorr"
+        # latin-1 writes the ASCII cases as they are and \xff as a byte that is not UTF-8
+        corr.write_bytes(NDCORR_REFUSALS[case].encode("latin-1"))
+        argv = (["estimate", str(corr), "--grid", "3,3"] if command == "estimate"
+                else ["match", str(spectrum), str(corr)])
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 4
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_crlf_and_whitespace_only_lines_give_the_same_bytes(self, tmp_path, spectrum):
+        loose = tmp_path / "loose.ndcorr"
+        lines = ndcorr_text(WHITE_ROWS).splitlines()
+        loose.write_bytes("\r\n".join([*lines[:5], "  \t", "", *lines[5:], " "]).encode())
+        out = tmp_path / "loose.csv"
+        assert run(["estimate", str(loose), "--grid", "3,3", "--out", str(out)]) == 0
+        assert out.read_bytes() == spectrum.read_bytes()
+
+
 def reference_spectrum_lines(counts, power):
     """The spectrum CSV formatted one cell at a time."""
     lines = [",".join([f"f_{i}" for i in range(len(counts))] + ["power"])]
     for idx in np.ndindex(*counts):
         freqs = [repr(m / c) for m, c in zip(idx, counts)]
         lines.append(",".join(freqs + [repr(float(power[idx]) + 0.0)]))
+    return lines
+
+
+def fmt(x):
+    return repr(float(x) + 0.0)
+
+
+def reference_match_lines(report):
+    """The match CSV formatted one LagMatch record at a time."""
+    lines = [",".join([f"t_{i}" for i in range(len(report.gamma))]
+                      + ["r_re", "r_im", "rhat_re", "rhat_im", "rel_err", "mode"])]
+    for e in report.per_lag:
+        lines.append(",".join(
+            [str(t) for t in e.lag]
+            + [fmt(e.original.real), fmt(e.original.imag), fmt(e.reconstructed.real),
+               fmt(e.reconstructed.imag), fmt(e.error), e.mode]))
     return lines
 
 
@@ -371,23 +452,34 @@ class TestWriters:
         assert run(["estimate", str(corr), "--grid", "6,5,7", "--out", str(spec)]) == 0
         spectrum = _load_spectrum_csv(spec)
 
-        def fmt(x):
-            return repr(float(x) + 0.0)
-
         out = tmp_path / "match.csv"
         assert run(["match", str(spec), str(corr), "--out", str(out)]) == 0
-        expected = ["t_0,t_1,t_2,r_re,r_im,rhat_re,rhat_im,rel_err,mode"]
-        for e in correlation_match(spectrum, load_ndcorr(corr)).per_lag:
-            expected.append(",".join(
-                [str(t) for t in e.lag]
-                + [fmt(e.original.real), fmt(e.original.imag), fmt(e.reconstructed.real),
-                   fmt(e.reconstructed.imag), fmt(e.error), e.mode]))
-        assert out.read_text().splitlines() == expected
+        report = correlation_match(spectrum, load_ndcorr(corr))
+        assert out.read_text().splitlines() == reference_match_lines(report)
 
         out = tmp_path / "plane.csv"
         assert run(["slice", str(spec), "--fix", "1=3", "--out", str(out)]) == 0
         plane = spectrum.power[:, 3, :]
         assert out.read_text().splitlines() == [",".join(fmt(v) for v in row) for row in plane]
+
+    @pytest.mark.parametrize("seed, gamma, counts", [
+        (21, (5,), (9,)),
+        (22, (3, 4), (5, 8)),
+        (23, (2, 3, 2), (3, 6, 4)),
+        (24, (1, 4, 2), (2, 7, 3)),
+    ])
+    def test_match_bytes_match_per_record_reference(self, tmp_path, seed, gamma, counts):
+        from ndspec import SpectralGridSpec, SpectrumEstimate, correlation_match, save_ndcorr
+        from ndspec.cli import _load_spectrum_csv, _spectrum_lines, _write_lines
+
+        corr, spec, out = tmp_path / "c.ndcorr", tmp_path / "s.csv", tmp_path / "m.csv"
+        save_ndcorr(signed_zero_correlation(seed, gamma), corr)
+        power = np.exp(np.random.default_rng(seed).uniform(-5.0, 5.0, size=counts))
+        _write_lines(spec, _spectrum_lines(SpectrumEstimate(SpectralGridSpec(counts), power)))
+        assert run(["match", str(spec), str(corr), "--out", str(out)]) == 0
+        report = correlation_match(_load_spectrum_csv(spec), load_ndcorr(corr))
+        assert {entry.mode for entry in report.per_lag} == {"abs", "rel"}
+        assert out.read_bytes() == ("\n".join(reference_match_lines(report)) + "\n").encode()
 
 
 class TestSlice:

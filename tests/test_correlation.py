@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import random_correlation
+from conftest import random_correlation, random_hermitian, signed_zero_correlation
 from ndspec import (
+    BlockToeplitzMatrix,
     CorrelationSignal,
     DimSpec,
     Nesting,
@@ -18,10 +20,12 @@ from ndspec import (
     check_positive_definite,
     estimate_correlation,
     load_ndcorr,
+    ndcorr_lines,
     save_ndcorr,
     synth_correlation,
     walking_map,
 )
+from ndspec.correlation import NDCORR_MAGIC
 from ndspec.errors import DimensionMismatch, FileFormatError, InsufficientData
 
 VI_COMPOSITION = SpectralComposition(
@@ -284,6 +288,38 @@ class TestAssemble:
         r = assemble(random_correlation(rng, (3, 2)))
         assert np.array_equal(r.entries, r.entries.conj().T)
 
+    @pytest.mark.parametrize("gamma", [(3, 2), (5, 5, 3), (8, 16)])
+    def test_hermitian_check_tolerance_in_every_row_block(self, gamma):
+        # q = 6, 75 and 128: one partial, one full plus a partial, two full
+        # 64-row blocks; the perturbed entry and its mirror both sit in the
+        # last block
+        spec = DimSpec(gamma)
+        rng = np.random.default_rng(spec.q)
+        entries = random_hermitian(rng, spec.q)
+        scale = np.max(np.abs(entries))
+        i, j = spec.q - 1, spec.q - 5
+        for factor, refused in [(0.5, False), (2.0, True)]:
+            bent = entries.copy()
+            bent[i, j] += factor * 1e-9 * scale
+            if refused:
+                with pytest.raises(ValueError, match="entries are not Hermitian"):
+                    BlockToeplitzMatrix(spec, Nesting.identity(spec.d), bent)
+            else:
+                BlockToeplitzMatrix(spec, Nesting.identity(spec.d), bent)
+
+    def test_hermitian_check_holds_no_matrix_sized_temporary(self):
+        # entries - entries^H over the whole matrix would hold two q x q
+        # complex temporaries, twice the entries' own size
+        spec = DimSpec((16, 32))
+        entries = random_hermitian(np.random.default_rng(9), spec.q)
+        tracemalloc.start()
+        try:
+            BlockToeplitzMatrix(spec, Nesting.identity(spec.d), entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * entries.nbytes
+
 
 class TestPositiveDefiniteCheck:
     def test_noise_identity(self):
@@ -298,7 +334,29 @@ class TestPositiveDefiniteCheck:
         assert check_positive_definite(assemble(c))
 
 
+def reference_ndcorr_lines(c):
+    """The ``ndcorr 1`` text formatted one lag line at a time."""
+    lines = [NDCORR_MAGIC, "gamma: " + " ".join(str(g) for g in c.gamma)]
+    for t, v in zip(itertools.product(*(range(1 - g, g) for g in c.gamma)),
+                    c.lags.ravel().tolist()):
+        lines.append(" ".join([str(ti) for ti in t]
+                              + [repr(v.real + 0.0), repr(v.imag + 0.0)]))
+    return lines
+
+
 class TestNdcorrFile:
+    @pytest.mark.parametrize("seed, gamma", [(11, (5,)), (12, (3, 4)), (13, (2, 3, 2)),
+                                             (14, (1, 4, 2))])
+    def test_lines_match_per_line_reference(self, tmp_path, seed, gamma):
+        c = signed_zero_correlation(seed, gamma)
+        assert np.signbit(c.lags.real[c.lags.real == 0]).any()
+        lines = ndcorr_lines(c)
+        assert lines == reference_ndcorr_lines(c)
+        path = tmp_path / "c.ndcorr"
+        save_ndcorr(c, path)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert np.array_equal(load_ndcorr(path).lags, c.lags)
+
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(6)
         c = random_correlation(rng, (2, 3))
@@ -342,3 +400,59 @@ class TestNdcorrFile:
         path.write_text("ndcorr 1\ngamma: 2\n-1 x 0.0\n0 1.0 0.0\n1 x 0.0\n")
         with pytest.raises(FileFormatError):
             load_ndcorr(path)
+
+    def test_crlf_and_whitespace_only_lines_are_accepted(self, tmp_path):
+        c = random_correlation(np.random.default_rng(3), (2, 3))
+        lines = ndcorr_lines(c)
+        loose = ["", "  " + lines[0] + " ", "\t", lines[1], *lines[2:6], " \t ", "",
+                 *["  " + ln + "\t" for ln in lines[6:]], "   "]
+        path = tmp_path / "loose.ndcorr"
+        path.write_bytes("\r\n".join(loose).encode())
+        loaded = load_ndcorr(path)
+        assert loaded.gamma == c.gamma
+        assert np.array_equal(loaded.lags, c.lags)
+
+    @pytest.mark.parametrize("token", ["1_0.0", "0_1"])
+    def test_digit_separators_are_refused(self, tmp_path, token):
+        # Python's int() and float() accept these; np.loadtxt does not
+        assert float(token) in (10.0, 1.0)
+        path = tmp_path / "sep"
+        if token == "0_1":
+            path.write_text("ndcorr 1\ngamma: 2\n-1 0.5 0.0\n0 1.0 0.0\n0_1 0.5 0.0\n")
+        else:
+            path.write_text(f"ndcorr 1\ngamma: 2\n-1 0.5 0.0\n0 {token} 0.0\n1 0.5 0.0\n")
+        with pytest.raises(FileFormatError, match="malformed lag line"):
+            load_ndcorr(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("1.0 0.5 0.0", "malformed lag line: '1.0 0.5 0.0'"),
+        ("1 0.5", "malformed lag line: '1 0.5'"),
+        ("1 0.5 0.0 0.0", "malformed lag line: '1 0.5 0.0 0.0'"),
+        ("2 0.5 0.0", "lag (2,) outside the box for orders (2,)"),
+        ("-9223372036854775808 0.5 0.0",
+         "lag (-9223372036854775808,) outside the box for orders (2,)"),
+        ("99999999999999999999 0.5 0.0", "malformed lag line"),
+        ("-1 0.5 0.0", "duplicate lag (-1,)"),
+        ("1 nan 0.0", "lag values must be finite"),
+        ("1 0.5 -inf", "lag values must be finite"),
+    ])
+    def test_refusal_names_the_fault(self, tmp_path, line, message):
+        path = tmp_path / "bad"
+        path.write_text(f"ndcorr 1\ngamma: 2\n-1 0.5 0.0\n0 1.0 0.0\n{line}\n")
+        with pytest.raises(FileFormatError) as info:
+            load_ndcorr(path)
+        assert message in str(info.value)
+
+    def test_refusal_names_the_first_malformed_line(self, tmp_path):
+        # 1 521 lag lines: the scan passes whole blocks of 256 before it
+        # reaches the block with the two refused lines it must choose from
+        c = random_correlation(np.random.default_rng(8), (20, 20))
+        lines = ndcorr_lines(c)
+        for row in (1000, 1010):
+            lines[2 + row] = "x " + lines[2 + row]
+        lines[2 + 1400] = lines[2 + 1400] + " 0.0"
+        path = tmp_path / "bad"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError) as info:
+            load_ndcorr(path)
+        assert str(info.value) == f"{path}: malformed lag line: {lines[2 + 1000]!r}"
