@@ -7,9 +7,12 @@ highest label down. Each stage holds, at every already-processed
 frequency tuple, the first block-column of a running inverse; the stage
 forms the block Fourier sum M(w) over a new frequency axis, pushes it
 through the inverted zero block as the congruence M [G(0)]^{-1} M^H, and
-extracts a smaller first block-column for the next stage. After the
-last dimension the field is scalar and the power spectrum is its
-reciprocal.
+extracts a smaller first block-column for the next stage. The new axis
+is taken in chunks of about an eighth of its frequencies: one product
+with a phase matrix gives a chunk's Fourier sums at every point, and one
+batched call its congruences, so no Python loop runs over points or
+single frequencies of a long axis. After the last dimension the field
+is scalar and the power spectrum is its reciprocal.
 
 In one dimension the sweep reproduces the classical autoregressive
 (maximum entropy) spectrum of the lag sequence exactly: the first column
@@ -136,42 +139,42 @@ def init_stage(r_inv, spec: DimSpec) -> StageField:
 @one_blas_thread
 def stage_update(field: StageField, grid: SpectralGridSpec) -> StageField:
     """One sweep stage: invert the zero blocks of every processed point in
-    one stacked call, then, for each index m of the new axis, form the
-    block Fourier sum M(w_m) = sum_k G(k) e^{j k w_m} and the congruence
-    M [G(0)]^{-1} M^H at all points at once, keeping only the columns of
-    the next stage's first block-column.
-
-    At the final stage (x = d) there is nothing left to extract and the
-    returned field holds the 1 x 1 scalars. NotPositiveDefinite is
-    re-raised tagged with the stage and the processed grid indices where
-    the zero block failed (the first such point in C order).
+    one stacked call; then, per chunk of about an eighth of the new axis,
+    one product with phases of (m k mod C) / C of a turn gives the block
+    Fourier sums M(w_m) = sum_k G(k) e^{j k w_m}, folding k >= C exactly,
+    and one batched call the congruences M [G(0)]^{-1} M^H, keeping the
+    columns of the next stage's first block-column (scalars at the last
+    stage). NotPositiveDefinite is re-raised tagged with the stage and the
+    first processed grid point, in C order, whose zero block failed.
     """
-    spec = field.spec
-    d = spec.d
-    x = field.stage
+    spec, x, d = field.spec, field.stage, field.spec.d
     if x > d:
         raise ValueError("sweep already complete")
     if grid.d != d:
         raise DimensionMismatch(f"{grid.d}-d grid for a {d}-d field")
     dim = d - x
-    count = grid.counts[dim]
-    h = field.block_size
-
+    count, h = grid.counts[dim], field.block_size
     try:
-        g0_inv = invert_pd(field.blocks[..., 0, :, :])
+        g0_inv = invert_pd(field.blocks[..., 0, :, :])[..., None, :, :]
     except NotPositiveDefinite as exc:
         raise exc.tagged(x, exc.index) from exc
-
     new_h = h // spec.gamma[dim - 1] if x < d else 1
-    n_new = h // new_h
-    out = np.empty(field.counts + (count, n_new, new_h, new_h), dtype=complex)
-    for m in range(count):
-        phases = np.exp(2j * np.pi * m * np.arange(field.n_blocks) / count)
-        summed = np.tensordot(field.blocks, phases, axes=([-3], [0]))
-        kept = summed @ g0_inv @ summed[..., :new_h, :].conj().swapaxes(-1, -2)
-        out[..., m, :, :, :] = kept.reshape(field.counts + (n_new, new_h, new_h))
-    return StageField(spec, x + 1, field.processed + (dim,),
-                      field.counts + (count,), out)
+    by_block, k = np.moveaxis(field.blocks, -3, 0), np.arange(field.n_blocks)
+    roots = np.exp(2j * np.pi / count * np.arange(count))
+    out = np.empty(field.counts + (count, h, new_h), dtype=complex)
+    step = -(-count // 8)  # temporaries of a few eighths of ``out``
+    for start in range(0, count, step):
+        m = np.arange(start, min(start + step, count))
+        phases = roots[np.outer(m, k) % count]
+        summed = np.moveaxis(np.tensordot(phases, by_block, axes=1), 0, -3)
+        kept = out[..., start:start + m.size, :, :]
+        if h > 1:
+            np.matmul(summed @ g0_inv, summed[..., :new_h, :].conj().swapaxes(-1, -2), out=kept)
+        else:  # 1 x 1 blocks: elementwise, not one BLAS call per point and frequency
+            right = summed.conj()
+            kept[...] = np.multiply(np.multiply(summed, g0_inv, out=summed), right, out=summed)
+    return StageField(spec, x + 1, field.processed + (dim,), field.counts + (count,),
+                      out.reshape(field.counts + (count, h // new_h, new_h, new_h)))
 
 
 def _toeplitz_blocks(c: CorrelationSignal) -> np.ndarray:

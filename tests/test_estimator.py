@@ -46,6 +46,31 @@ def reference_update(field, grid):
     return out
 
 
+def whole_axis_update(field, grid):
+    """Blocks of the next stage from one inverse FFT over the whole new
+    axis: Fourier sums at every frequency held at once."""
+    spec, x = field.spec, field.stage
+    dim = spec.d - x
+    count = grid.counts[dim]
+    h = field.block_size
+    new_h = h // spec.gamma[dim - 1] if x < spec.d else 1
+    g0_inv = np.linalg.inv(field.blocks[..., 0, :, :])[..., None, :, :]
+    summed = np.fft.ifft(field.blocks, n=count, axis=-3, norm="forward")
+    full = summed @ g0_inv @ summed[..., :new_h, :].conj().swapaxes(-1, -2)
+    return full.reshape(field.counts + (count, h // new_h, new_h, new_h))
+
+
+def update_peak(update, field, grid):
+    """tracemalloc peak of one call of ``update``, in bytes, and its output."""
+    tracemalloc.start()
+    try:
+        out = update(field, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, out
+
+
 def block_sum(field, m, count):
     """M(w) = sum_k G(k) e^{j k w} at w = 2 pi m / count, at every
     processed point."""
@@ -256,8 +281,12 @@ class TestStageUpdate:
 
     def test_matches_direct_sum_reference(self):
         rng = np.random.default_rng(12)
+        # then: 5 blocks folded onto 4 and onto 3 frequencies, one-point
+        # axes, and chunks of 5 and 3 frequencies with a shorter last chunk
         for gamma, counts in (((3, 2), (4, 5)), ((2, 3, 2), (3, 4, 5)),
-                              ((3, 3, 3), (4, 4, 4))):
+                              ((3, 3, 3), (4, 4, 4)), ((2, 5), (3, 4)),
+                              ((5, 2), (3, 4)), ((3, 2), (1, 1)),
+                              ((2, 3), (17, 33)), ((2, 2, 3), (9, 1, 17))):
             c = random_correlation(rng, gamma)
             grid = SpectralGridSpec(counts)
             field = init_stage(invert_pd(assemble(c).entries), DimSpec(gamma))
@@ -267,6 +296,24 @@ class TestStageUpdate:
                 assert field.blocks.shape == expected.shape
                 err = np.max(np.abs(field.blocks - expected))
                 assert err <= 1e-12 * np.max(np.abs(expected)), (gamma, field.stage)
+
+    def test_last_stage_allocates_at_most_1_5x_its_input_and_output(self):
+        # a cube-shaped last stage: 1 x 1 blocks, 4 per point on a 32 x 32
+        # processed grid, swept onto 32 frequencies
+        rng = np.random.default_rng(18)
+        blocks = 0.1 * (rng.standard_normal((32, 32, 4, 1, 1))
+                        + 1j * rng.standard_normal((32, 32, 4, 1, 1)))
+        blocks[:, :, 0] = 1.0
+        field = StageField(DimSpec((4, 4, 4)), 3, (2, 1), (32, 32), blocks)
+        grid = SpectralGridSpec((32, 32, 32))
+        stage_update(field, grid)
+        peak, out = update_peak(stage_update, field, grid)
+        bound = 1.5 * (blocks.nbytes + out.blocks.nbytes)
+        assert peak <= bound, (peak, bound)
+        # the same stage from one FFT over the whole axis does not fit
+        whole_peak, whole = update_peak(whole_axis_update, field, grid)
+        np.testing.assert_allclose(whole, out.blocks, rtol=1e-12)
+        assert whole_peak > bound, (whole_peak, bound)
 
     def test_mid_sweep_failure_names_stage_and_point(self):
         # gamma = (2, 2) at stage 2: 1 x 1 zero blocks 1, -1, -2, 1 on a

@@ -269,7 +269,8 @@ class TestOneBlasThread:
         rng = np.random.default_rng(16)
         sequential_spectrum(random_correlation(rng, (2, 3)), SpectralGridSpec((4, 5)))
         # one factorization per recursion order (gamma_1 = 3) and per stage
-        # (d = 2), then one Fourier sum per index of each swept axis
+        # (d = 2), then one Fourier sum per chunk of each swept axis; a chunk
+        # holds ceil(C / 8) frequencies, one on these axes of 5 and 4 points
         assert len(seen) == 3 + 2 + 5 + 4 and set(seen) == {1}
         assert get() == before
 
