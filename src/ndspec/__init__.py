@@ -15,11 +15,9 @@ from .baselines import (
     sequential_stage_costs,
 )
 from .correlation import (
-    BlockToeplitzMatrix,
     CorrelationSignal,
     SpectralComposition,
     assemble,
-    check_positive_definite,
     estimate_correlation,
     load_ndcorr,
     ndcorr_lines,
@@ -38,33 +36,26 @@ from .errors import (
 )
 from .estimator import (
     LevinsonResult,
-    StageField,
     ar_spectrum_1d,
-    init_stage,
     levinson_1d,
     sequential_spectrum,
-    stage_update,
 )
 from .grid import SpectralGridSpec, SpectrumEstimate
 from .indexing import (
     DimSpec,
     IndexPermutation,
     Nesting,
-    Strides,
     apply_walking,
-    flat_of_multi,
     has_toeplitz_character,
-    multi_of_flat,
     strides,
     walking_map,
 )
-from .linalg import cholesky, invert_pd
+from .linalg import invert_pd
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AliasingWarning",
-    "BlockToeplitzMatrix",
     "CorrelationSignal",
     "CostReport",
     "DimSpec",
@@ -84,31 +75,23 @@ __all__ = [
     "SpectralComposition",
     "SpectralGridSpec",
     "SpectrumEstimate",
-    "StageField",
-    "Strides",
     "apply_walking",
     "ar_spectrum_1d",
     "assemble",
     "capon_cost",
     "capon_spectrum",
-    "check_positive_definite",
-    "cholesky",
     "correlation_match",
     "cost_report",
     "estimate_correlation",
-    "flat_of_multi",
     "has_toeplitz_character",
-    "init_stage",
     "invert_pd",
     "levinson_1d",
     "load_ndcorr",
-    "multi_of_flat",
     "ndcorr_lines",
     "save_ndcorr",
     "sequential_cost",
     "sequential_spectrum",
     "sequential_stage_costs",
-    "stage_update",
     "strides",
     "synth_correlation",
     "walking_map",

@@ -26,14 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    FileFormatError,
-    InsufficientData,
-    NotPositiveDefinite,
-)
+from .errors import DimensionMismatch, FileFormatError, InsufficientData
 from .indexing import DimSpec, Nesting, strides
-from .linalg import _ROW_BLOCK, cholesky
 from .textio import _csv_rows, _lag_prefixes, _parse_rows, _read_table
 
 # Loader / constructor tolerance for Hermitian symmetry, relative to the
@@ -47,7 +41,8 @@ class CorrelationSignal:
 
     ``lags`` has shape (2 gamma_0 - 1, ..., 2 gamma_{d-1} - 1); the value
     at lag t lives at array index t + gamma - 1, so the zero lag sits at
-    the center.
+    the center. The signal holds a read-only copy of the values it was
+    given, so they stay as validated.
     """
 
     gamma: tuple[int, ...]
@@ -57,7 +52,8 @@ class CorrelationSignal:
         gamma = tuple(int(g) for g in self.gamma)
         if not gamma or any(g < 1 for g in gamma):
             raise ValueError(f"orders must all be >= 1, got {gamma}")
-        arr = np.asarray(self.lags, dtype=complex)
+        arr = np.array(self.lags, dtype=complex)
+        arr.flags.writeable = False
         expected = tuple(2 * g - 1 for g in gamma)
         if arr.shape != expected:
             raise ValueError(f"lag array shape {arr.shape}, expected {expected}")
@@ -262,30 +258,17 @@ def synth_correlation(comp: SpectralComposition, gamma,
 
 @dataclass(frozen=True)
 class BlockToeplitzMatrix:
-    """Hermitian matrix of a correlation signal under one nesting.
+    """Hermitian matrix of a correlation signal under one nesting, as
+    built by ``assemble``.
 
     Shift-invariant along every nested dimension slot (d-time Toeplitz).
+    Every entry is a lag of the signal, so the signal's own Hermitian
+    check covers the matrix.
     """
 
     spec: DimSpec
     nesting: Nesting
     entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
-        if arr.shape != (self.spec.q, self.spec.q):
-            raise ValueError(f"entries shape {arr.shape}, expected {(self.spec.q,) * 2}")
-        # in blocks of rows, so the temporaries stay a small fraction of arr
-        scale, asymmetry = [], []
-        for start in range(0, self.spec.q, _ROW_BLOCK):
-            rows = arr[start:start + _ROW_BLOCK]
-            scale.append(np.max(np.abs(rows), initial=0.0))
-            asymmetry.append(np.max(
-                np.abs(rows - arr[:, start:start + _ROW_BLOCK].conj().T), initial=0.0))
-        scale = float(np.max(scale))
-        if np.max(asymmetry) > HERMITIAN_REL_TOL * max(scale, 1e-300):
-            raise ValueError("entries are not Hermitian")
-        object.__setattr__(self, "entries", arr)
 
 
 def assemble(c: CorrelationSignal, nesting: Nesting | None = None) -> BlockToeplitzMatrix:
@@ -300,16 +283,6 @@ def assemble(c: CorrelationSignal, nesting: Nesting | None = None) -> BlockToepl
         nesting = Nesting.identity(spec.d)
     entries = c.lags.take(_lag_gather(spec.gamma, nesting))
     return BlockToeplitzMatrix(spec, nesting, entries)
-
-
-def check_positive_definite(r) -> bool:
-    """True iff Cholesky succeeds with every pivot above the scale floor."""
-    entries = r.entries if isinstance(r, BlockToeplitzMatrix) else np.asarray(r)
-    try:
-        cholesky(entries)
-    except NotPositiveDefinite:
-        return False
-    return True
 
 
 def ndcorr_lines(c: CorrelationSignal) -> list[str]:

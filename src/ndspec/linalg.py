@@ -29,8 +29,7 @@ from .errors import NotPositiveDefinite, SizeMismatch
 
 # Pivot floor relative to the largest diagonal entry of each matrix.
 PD_PIVOT_REL = 1e-12
-# Rows per block when a q x q matrix is swept in row blocks (the mirror of a
-# single inverse, the Hermitian check of an assembled matrix), so the
+# Rows per block when the mirror of a single q x q inverse is filled, so the
 # temporaries stay a small fraction of the matrix.
 _ROW_BLOCK = 64
 

@@ -72,11 +72,6 @@ def random_pd_matrix(rng, n) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def random_hermitian(rng, n) -> np.ndarray:
-    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.5 * (b + b.conj().T)
-
-
 def character_matrix(rng, spec: DimSpec, u: int, nesting: Nesting) -> np.ndarray:
     """Random complex matrix whose entries depend on the slot-u digits only
     through their difference (one Toeplitz character, nothing else)."""

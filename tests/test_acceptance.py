@@ -26,19 +26,18 @@ from ndspec import (
     ar_spectrum_1d,
     assemble,
     capon_cost,
-    cholesky,
     correlation_match,
     estimate_correlation,
     has_toeplitz_character,
-    init_stage,
     invert_pd,
     levinson_1d,
     sequential_cost,
     sequential_spectrum,
-    stage_update,
     synth_correlation,
     walking_map,
 )
+from ndspec.estimator import init_stage, stage_update
+from ndspec.linalg import cholesky
 
 CUBE_COMPOSITION = SpectralComposition(
     peaks=(((0.1, 0.3, 0.7), 1.0), ((0.1, 0.6, 0.2), 1.0)),

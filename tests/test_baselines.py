@@ -19,7 +19,6 @@ from ndspec import (
     correlation_match,
     cost_report,
     invert_pd,
-    multi_of_flat,
     sequential_cost,
     sequential_spectrum,
     sequential_stage_costs,
@@ -27,6 +26,7 @@ from ndspec import (
     synth_correlation,
 )
 from ndspec.errors import DimensionMismatch, SizeMismatch
+from ndspec.indexing import multi_of_flat
 
 VI_COMPOSITION = SpectralComposition(
     peaks=(((0.1, 0.3, 0.7), 1.0), ((0.1, 0.6, 0.2), 1.0)),

@@ -8,16 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import random_correlation, random_hermitian, signed_zero_correlation
+from conftest import random_correlation, signed_zero_correlation
 from ndspec import (
-    BlockToeplitzMatrix,
     CorrelationSignal,
     DimSpec,
     Nesting,
     SpectralComposition,
     apply_walking,
     assemble,
-    check_positive_definite,
     estimate_correlation,
     load_ndcorr,
     ndcorr_lines,
@@ -26,7 +24,13 @@ from ndspec import (
     walking_map,
 )
 from ndspec.correlation import NDCORR_MAGIC
-from ndspec.errors import DimensionMismatch, FileFormatError, InsufficientData
+from ndspec.errors import (
+    DimensionMismatch,
+    FileFormatError,
+    InsufficientData,
+    NotPositiveDefinite,
+)
+from ndspec.linalg import cholesky
 
 VI_COMPOSITION = SpectralComposition(
     peaks=(((0.1, 0.3, 0.7), 1.0), ((0.1, 0.6, 0.2), 1.0)),
@@ -238,6 +242,14 @@ class TestSignalType:
         with pytest.raises(ValueError):
             CorrelationSignal((2,), np.zeros(4))
 
+    def test_holds_a_read_only_copy_of_its_lags(self):
+        lags = np.array([0.5, 2.0, 0.5], dtype=complex)
+        c = CorrelationSignal((2,), lags)
+        lags[0] = 7.0j
+        assert c.lags[0] == 0.5
+        with pytest.raises(ValueError):
+            c.lags[0] = 7.0j
+
     def test_from_forward_lags(self):
         c = CorrelationSignal.from_forward_lags([1.0, 0.5j])
         assert c.gamma == (2,)
@@ -289,49 +301,51 @@ class TestAssemble:
         assert np.array_equal(r.entries, r.entries.conj().T)
 
     @pytest.mark.parametrize("gamma", [(3, 2), (5, 5, 3), (8, 16)])
-    def test_hermitian_check_tolerance_in_every_row_block(self, gamma):
-        # q = 6, 75 and 128: one partial, one full plus a partial, two full
-        # 64-row blocks; the perturbed entry and its mirror both sit in the
-        # last block
-        spec = DimSpec(gamma)
-        rng = np.random.default_rng(spec.q)
-        entries = random_hermitian(rng, spec.q)
-        scale = np.max(np.abs(entries))
-        i, j = spec.q - 1, spec.q - 5
-        for factor, refused in [(0.5, False), (2.0, True)]:
-            bent = entries.copy()
-            bent[i, j] += factor * 1e-9 * scale
-            if refused:
-                with pytest.raises(ValueError, match="entries are not Hermitian"):
-                    BlockToeplitzMatrix(spec, Nesting.identity(spec.d), bent)
-            else:
-                BlockToeplitzMatrix(spec, Nesting.identity(spec.d), bent)
+    def test_signal_check_bounds_the_matrix_asymmetry(self, gamma):
+        # every entry is the lag m(i) - m(j) and every lag is such a
+        # difference, so under any nesting the matrix is exactly as far
+        # from Hermitian as the lag box the signal accepted
+        c = random_correlation(np.random.default_rng(sum(gamma)), gamma)
+        scale = np.max(np.abs(c.lags))
+        corner = (0,) * len(gamma)  # lag -(gamma - 1), whose mirror is the last cell
+        for factor, accepted in [(0.5, True), (2.0, False)]:
+            bent = c.lags.copy()
+            bent[corner] += factor * 1e-9 * scale
+            if not accepted:
+                with pytest.raises(ValueError, match="Hermitian symmetry"):
+                    CorrelationSignal(gamma, bent)
+                continue
+            signal = CorrelationSignal(gamma, bent)
+            asymmetry = np.max(np.abs(signal.lags - np.conj(np.flip(signal.lags))))
+            assert asymmetry > 0
+            for dims in itertools.permutations(range(len(gamma))):
+                r = assemble(signal, Nesting(dims)).entries
+                assert np.max(np.abs(r - r.conj().T)) == asymmetry
 
-    def test_hermitian_check_holds_no_matrix_sized_temporary(self):
-        # entries - entries^H over the whole matrix would hold two q x q
-        # complex temporaries, twice the entries' own size
-        spec = DimSpec((16, 32))
-        entries = random_hermitian(np.random.default_rng(9), spec.q)
+    def test_holds_only_the_output_and_the_lag_gather(self):
+        # the q x q complex entries plus the q x q int64 lag-index gather
+        c = random_correlation(np.random.default_rng(9), (16, 32))
         tracemalloc.start()
         try:
-            BlockToeplitzMatrix(spec, Nesting.identity(spec.d), entries)
+            entries = assemble(c).entries
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.5 * entries.nbytes
+        assert peak < 1.6 * entries.nbytes
 
 
 class TestPositiveDefiniteCheck:
     def test_noise_identity(self):
         c = synth_correlation(SpectralComposition(noise_var=0.1), (2, 2))
-        assert check_positive_definite(assemble(c))
+        cholesky(assemble(c).entries)
 
     def test_zero_matrix(self):
-        assert not check_positive_definite(np.zeros((3, 3)))
+        with pytest.raises(NotPositiveDefinite):
+            cholesky(np.zeros((3, 3)))
 
     def test_cube_composition(self):
         c = synth_correlation(VI_COMPOSITION, (3, 3, 3))
-        assert check_positive_definite(assemble(c))
+        cholesky(assemble(c).entries)
 
 
 def reference_ndcorr_lines(c):

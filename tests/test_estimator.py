@@ -9,19 +9,22 @@ from ndspec import (
     DimSpec,
     SpectralComposition,
     SpectralGridSpec,
-    StageField,
     ar_spectrum_1d,
     assemble,
-    init_stage,
     invert_pd,
     levinson_1d,
     sequential_spectrum,
-    stage_update,
     synth_correlation,
 )
 from ndspec import estimator
 from ndspec.errors import DimensionMismatch, NotPositiveDefinite, SizeMismatch
-from ndspec.estimator import _first_block_column, _toeplitz_blocks
+from ndspec.estimator import (
+    StageField,
+    _first_block_column,
+    _toeplitz_blocks,
+    init_stage,
+    stage_update,
+)
 from ndspec.linalg import cholesky
 
 

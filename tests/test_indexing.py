@@ -10,13 +10,12 @@ from ndspec import (
     Nesting,
     apply_walking,
     assemble,
-    flat_of_multi,
     has_toeplitz_character,
-    multi_of_flat,
     strides,
     walking_map,
 )
 from ndspec.errors import IndexOutOfRange, InvalidNesting, SizeMismatch
+from ndspec.indexing import flat_of_multi, multi_of_flat
 
 small_specs = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
     lambda gs: DimSpec(tuple(gs))

@@ -6,8 +6,9 @@ import pytest
 import scipy
 
 from conftest import random_correlation, random_pd_matrix
-from ndspec import SpectralGridSpec, cholesky, invert_pd, linalg, sequential_spectrum
+from ndspec import SpectralGridSpec, invert_pd, linalg, sequential_spectrum
 from ndspec.errors import NotPositiveDefinite, SizeMismatch
+from ndspec.linalg import cholesky
 
 
 class TestCholesky:
