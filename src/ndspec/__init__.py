@@ -43,11 +43,9 @@ from .estimator import (
 from .grid import SpectralGridSpec, SpectrumEstimate
 from .indexing import (
     DimSpec,
-    IndexPermutation,
     Nesting,
     apply_walking,
     has_toeplitz_character,
-    strides,
     walking_map,
 )
 from .linalg import invert_pd
@@ -62,7 +60,6 @@ __all__ = [
     "DimensionMismatch",
     "FileFormatError",
     "IndexOutOfRange",
-    "IndexPermutation",
     "InsufficientData",
     "InvalidNesting",
     "LagMatch",
@@ -92,7 +89,6 @@ __all__ = [
     "sequential_cost",
     "sequential_spectrum",
     "sequential_stage_costs",
-    "strides",
     "synth_correlation",
     "walking_map",
 ]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, FileFormatError, InsufficientData
-from .indexing import DimSpec, Nesting, strides
+from .indexing import DimSpec, Nesting, digits
 from .textio import _csv_rows, _lag_prefixes, _parse_rows, _read_table
 
 # Loader / constructor tolerance for Hermitian symmetry, relative to the
@@ -127,12 +127,8 @@ def _lag_gather(gamma, nesting: Nesting) -> np.ndarray:
     digits' own offsets, shifted to the center.
     """
     spec = DimSpec(gamma)
-    st = strides(spec, nesting)
     box = tuple(2 * g - 1 for g in spec.gamma)
-    flats = np.arange(spec.q)
-    slots = [nesting.slot_of(dim) for dim in range(spec.d)]
-    digits = tuple((flats // st.q[slot]) % st.extents[slot] for slot in slots)
-    offsets = np.ravel_multi_index(digits, box)
+    offsets = np.ravel_multi_index(tuple(digits(spec, nesting).T), box)
     center = np.ravel_multi_index(tuple(g - 1 for g in spec.gamma), box)
     return offsets[:, None] - offsets[None, :] + center
 

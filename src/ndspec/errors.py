@@ -10,7 +10,7 @@ class InvalidNesting(NdspecError):
 
 
 class IndexOutOfRange(NdspecError):
-    """A flat or multi index lies outside its box."""
+    """A slot index lies outside its range."""
 
 
 class SizeMismatch(NdspecError):

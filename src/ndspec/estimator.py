@@ -101,16 +101,19 @@ class StageField:
     """First block-column blocks of the running inverse at one stage.
 
     ``blocks`` carries one leading axis per processed dimension (highest
-    label first, matching ``processed``/``counts``), then the block index
-    k, then the h x h block itself. Stage x in 1..d is ready for an
-    update; stage d + 1 is the finished scalar field.
+    label first), then the block index k, then the h x h block itself.
+    Stage x in 1..d is ready for an update; stage d + 1 is the finished
+    scalar field.
     """
 
     spec: DimSpec
     stage: int
-    processed: tuple[int, ...]
-    counts: tuple[int, ...]
     blocks: np.ndarray
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        """Frequency counts of the processed dimensions."""
+        return self.blocks.shape[:-3]
 
     @property
     def block_size(self) -> int:
@@ -133,7 +136,7 @@ def init_stage(r_inv, spec: DimSpec) -> StageField:
     g_last = spec.gamma[-1]
     h = spec.q // g_last
     blocks = np.stack([a[k * h:(k + 1) * h, 0:h] for k in range(g_last)])
-    return StageField(spec, 1, (), (), blocks)
+    return StageField(spec, 1, blocks)
 
 
 @one_blas_thread
@@ -173,8 +176,7 @@ def stage_update(field: StageField, grid: SpectralGridSpec) -> StageField:
         else:  # 1 x 1 blocks: elementwise, not one BLAS call per point and frequency
             right = summed.conj()
             kept[...] = np.multiply(np.multiply(summed, g0_inv, out=summed), right, out=summed)
-    return StageField(spec, x + 1, field.processed + (dim,), field.counts + (count,),
-                      out.reshape(field.counts + (count, h // new_h, new_h, new_h)))
+    return StageField(spec, x + 1, out.reshape(field.counts + (count, h // new_h, new_h, new_h)))
 
 
 def _toeplitz_blocks(c: CorrelationSignal) -> np.ndarray:
@@ -286,7 +288,7 @@ def sequential_spectrum(c: CorrelationSignal, grid: SpectralGridSpec,
     blocks = _first_block_column(c)
     if cross_check_walking:
         _cross_check(c, blocks)
-    field = StageField(spec, 1, (), (), blocks)
+    field = StageField(spec, 1, blocks)
     for _ in range(spec.d):
         field = stage_update(field, grid)
     # leading axes run over dimensions d-1..0; reorder to m_0..m_{d-1}

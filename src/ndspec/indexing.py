@@ -2,7 +2,8 @@
 
 A vector of per-dimension orders defines a box of multi-indices. A
 nesting (a permutation of the dimension labels) decides which dimension
-varies fastest in the flattened index, giving each slot a stride.
+varies fastest in the flattened index; ``digits`` decodes every flat
+index into its per-dimension digits, the one place that layout is read.
 Walking maps transport flat indices between two nestings while keeping
 the per-dimension digits; the Toeplitz-character predicate tests shift
 invariance of a matrix along one nested slot.
@@ -71,38 +72,6 @@ class Nesting:
         return self.dims.index(dim)
 
 
-@dataclass(frozen=True)
-class Strides:
-    """Per-slot strides and extents for one flattening."""
-
-    q: tuple[int, ...]
-    extents: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return self.q[-1] * self.extents[-1]
-
-
-@dataclass(frozen=True)
-class IndexPermutation:
-    """A bijection of the flat index range 0..q-1."""
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "mapping", tuple(int(v) for v in self.mapping))
-        if sorted(self.mapping) != list(range(len(self.mapping))):
-            raise ValueError("mapping is not a bijection of its index range")
-
-    def __len__(self) -> int:
-        return len(self.mapping)
-
-    def inverse(self) -> "IndexPermutation":
-        inv = np.empty(len(self.mapping), dtype=np.int64)
-        inv[np.asarray(self.mapping)] = np.arange(len(self.mapping))
-        return IndexPermutation(tuple(inv.tolist()))
-
-
 def _check_nesting(spec: DimSpec, nesting: Nesting) -> None:
     if nesting.d != spec.d:
         raise InvalidNesting(
@@ -110,59 +79,41 @@ def _check_nesting(spec: DimSpec, nesting: Nesting) -> None:
         )
 
 
-def strides(spec: DimSpec, nesting: Nesting) -> Strides:
-    """Slot strides under a nesting: slot 0 has stride 1 and varies fastest."""
+def digits(spec: DimSpec, nesting: Nesting) -> np.ndarray:
+    """(q, d) digits of every flat index under a nesting: row i holds the
+    per-dimension digits of flat index i, column k those of dimension k,
+    and slot 0 varies fastest."""
     _check_nesting(spec, nesting)
-    extents = tuple(spec.gamma[dim] for dim in nesting.dims)
-    qs = [1]
-    for ext in extents[:-1]:
-        qs.append(qs[-1] * ext)
-    return Strides(tuple(qs), extents)
+    slowest_first = nesting.dims[::-1]
+    out = np.empty((spec.q, spec.d), dtype=np.intp)
+    out[:, slowest_first] = np.stack(
+        np.unravel_index(np.arange(spec.q), [spec.gamma[k] for k in slowest_first]), axis=1
+    )
+    return out
 
 
-def flat_of_multi(multi, st: Strides) -> int:
-    """Flatten a per-slot digit tuple: sum of digit * stride."""
-    if len(multi) != len(st.q):
-        raise IndexOutOfRange(f"expected {len(st.q)} components, got {len(multi)}")
-    for slot, (digit, ext) in enumerate(zip(multi, st.extents)):
-        if not 0 <= digit < ext:
-            raise IndexOutOfRange(f"component {slot} = {digit} outside [0, {ext})")
-    return sum(int(digit) * s for digit, s in zip(multi, st.q))
+def walking_map(spec: DimSpec, src: Nesting, dst: Nesting) -> np.ndarray:
+    """Flat-index permutation carrying one nesting into another: the
+    digits of each source flat index, raveled in the destination's slot
+    order. Per-dimension digits are preserved, so the result is a
+    bijection."""
+    _check_nesting(spec, dst)
+    slowest_first = dst.dims[::-1]
+    return np.ravel_multi_index(tuple(digits(spec, src)[:, slowest_first].T),
+                                [spec.gamma[k] for k in slowest_first])
 
 
-def multi_of_flat(flat: int, st: Strides) -> tuple[int, ...]:
-    """Per-slot digits of a flat index; inverse of flat_of_multi."""
-    if not 0 <= flat < st.size:
-        raise IndexOutOfRange(f"flat index {flat} outside [0, {st.size})")
-    return tuple((flat // s) % ext for s, ext in zip(st.q, st.extents))
-
-
-def walking_map(spec: DimSpec, src: Nesting, dst: Nesting) -> IndexPermutation:
-    """Flat-index permutation carrying one nesting into another.
-
-    Digit l of a source flat index belongs to dimension src.dims[l]; the
-    destination index re-weights it by the stride of the slot that same
-    dimension occupies in the destination nesting. Per-dimension digits
-    are preserved, so the result is a bijection.
-    """
-    st_src = strides(spec, src)
-    st_dst = strides(spec, dst)
-    # stride each source slot's digit gets in the destination flattening
-    weights = np.array([st_dst.q[dst.slot_of(dim)] for dim in src.dims])
-    digits = (np.arange(spec.q)[:, None] // np.array(st_src.q)) % np.array(st_src.extents)
-    return IndexPermutation(tuple((digits @ weights).tolist()))
-
-
-def apply_walking(m, perm: IndexPermutation) -> np.ndarray:
-    """Permutation similarity: out[perm(i), perm(j)] = m[i, j]."""
-    a = np.asarray(m)
+def apply_walking(m, perm) -> np.ndarray:
+    """Permutation similarity: out[perm[i], perm[j]] = m[i, j]."""
+    a, p = np.asarray(m), np.asarray(perm)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise SizeMismatch(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] != len(perm):
+    if p.shape != a.shape[:1]:
         raise SizeMismatch(
-            f"matrix of size {a.shape[0]} does not match permutation of length {len(perm)}"
+            f"matrix of size {a.shape[0]} does not match permutation of shape {p.shape}"
         )
-    p = np.asarray(perm.mapping)
+    if not np.array_equal(np.sort(p), np.arange(p.size)):
+        raise ValueError("permutation is not a bijection of its index range")
     out = np.empty_like(a)
     out[np.ix_(p, p)] = a
     return out
@@ -180,16 +131,17 @@ def has_toeplitz_character(m, spec: DimSpec, u: int, nesting: Nesting,
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != spec.q:
         raise SizeMismatch(f"expected a {spec.q} x {spec.q} matrix, got shape {a.shape}")
-    st = strides(spec, nesting)
+    all_digits = digits(spec, nesting)
     if not 0 <= u < spec.d:
         raise IndexOutOfRange(f"slot {u} outside [0, {spec.d})")
+    digit = all_digits[:, nesting.dims[u]]
+    stride = math.prod(spec.gamma[k] for k in nesting.dims[:u])
     flats = np.arange(spec.q)
-    digit = (flats // st.q[u]) % st.extents[u]
     di = digit[:, None]
     dj = digit[None, :]
     diff = di - dj
-    rows = flats[:, None] + (np.maximum(diff, 0) - di) * st.q[u]
-    cols = flats[None, :] + (np.maximum(-diff, 0) - dj) * st.q[u]
+    rows = flats[:, None] + (np.maximum(diff, 0) - di) * stride
+    cols = flats[None, :] + (np.maximum(-diff, 0) - dj) * stride
     ref = a[rows, cols]
     tol = np.maximum(abs_tol, rel_tol * np.maximum(np.abs(a), np.abs(ref)))
     return bool(np.all(np.abs(a - ref) <= tol))

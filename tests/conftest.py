@@ -12,9 +12,9 @@ from ndspec import (
     DimSpec,
     Nesting,
     SpectralComposition,
-    strides,
     synth_correlation,
 )
+from ndspec.indexing import digits
 
 
 def random_composition(rng, d, n_peaks=3, noise_floor=0.2):
@@ -75,22 +75,16 @@ def random_pd_matrix(rng, n) -> np.ndarray:
 def character_matrix(rng, spec: DimSpec, u: int, nesting: Nesting) -> np.ndarray:
     """Random complex matrix whose entries depend on the slot-u digits only
     through their difference (one Toeplitz character, nothing else)."""
-    st = strides(spec, nesting)
-    q = spec.q
-
-    def digits(flat):
-        return tuple((flat // s) % e for s, e in zip(st.q, st.extents))
-
+    dim = nesting.dims[u]
+    rows = digits(spec, nesting).tolist()
     values = {}
-    out = np.empty((q, q), dtype=complex)
-    for i in range(q):
-        di = digits(i)
-        for j in range(q):
-            dj = digits(j)
+    out = np.empty((spec.q, spec.q), dtype=complex)
+    for i, di in enumerate(rows):
+        for j, dj in enumerate(rows):
             key = (
-                tuple(v for slot, v in enumerate(di) if slot != u),
-                tuple(v for slot, v in enumerate(dj) if slot != u),
-                di[u] - dj[u],
+                tuple(v for k, v in enumerate(di) if k != dim),
+                tuple(v for k, v in enumerate(dj) if k != dim),
+                di[dim] - dj[dim],
             )
             if key not in values:
                 values[key] = complex(rng.standard_normal(), rng.standard_normal())

@@ -22,11 +22,10 @@ from ndspec import (
     sequential_cost,
     sequential_spectrum,
     sequential_stage_costs,
-    strides,
     synth_correlation,
 )
 from ndspec.errors import DimensionMismatch, SizeMismatch
-from ndspec.indexing import multi_of_flat
+from ndspec.indexing import digits
 
 VI_COMPOSITION = SpectralComposition(
     peaks=(((0.1, 0.3, 0.7), 1.0), ((0.1, 0.6, 0.2), 1.0)),
@@ -46,8 +45,7 @@ COARSE_CASES = [
 
 def capon_by_steering(r_inv, gamma, counts):
     """1 / (a^H R^{-1} a) with explicit steering vectors, point by point."""
-    st = strides(DimSpec(gamma), Nesting.identity(len(gamma)))
-    m = np.array([multi_of_flat(i, st) for i in range(st.size)])
+    m = digits(DimSpec(gamma), Nesting.identity(len(gamma)))
     out = np.empty(counts)
     for k in np.ndindex(*counts):
         a = np.exp(-1j * m @ (2 * np.pi * np.array(k) / np.array(counts)))

@@ -24,6 +24,7 @@ from ndspec import (
     walking_map,
 )
 from ndspec.correlation import NDCORR_MAGIC
+from ndspec.indexing import digits
 from ndspec.errors import (
     DimensionMismatch,
     FileFormatError,
@@ -280,6 +281,16 @@ class TestAssemble:
         c = synth_correlation(SpectralComposition(noise_var=0.3), (2, 2))
         r = assemble(c)
         assert np.array_equal(r.entries, 0.3 * np.eye(4))
+
+    def test_entry_is_the_lag_of_the_digit_difference(self):
+        # R[i, j] = c(m(i) - m(j)), read straight off the centered lag box
+        c = random_correlation(np.random.default_rng(3), (2, 3, 2))
+        spec = DimSpec(c.gamma)
+        for dims in itertools.permutations(range(spec.d)):
+            m = digits(spec, Nesting(dims))
+            lags = m[:, None, :] - m[None, :, :] + np.array(c.gamma) - 1
+            expected = c.lags[tuple(np.moveaxis(lags, -1, 0))]
+            assert np.array_equal(assemble(c, Nesting(dims)).entries, expected)
 
     def test_commutes_with_walking_all_nesting_pairs(self):
         rng = np.random.default_rng(4)

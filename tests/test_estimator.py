@@ -150,7 +150,7 @@ class TestInitStage:
         r_inv = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
         field = init_stage(r_inv, DimSpec((2,)))
         assert field.stage == 1
-        assert field.processed == ()
+        assert field.counts == ()
         assert field.blocks.shape == (2, 1, 1)
         assert field.blocks[0, 0, 0] == pytest.approx(2.0 / 3.0)
         assert field.blocks[1, 0, 0] == pytest.approx(-1.0 / 3.0)
@@ -216,7 +216,7 @@ class TestStageUpdate:
         field = stage_update(init_stage(invert_pd(assemble(c).entries), DimSpec((2,))),
                              grid)
         assert field.stage == 2
-        assert field.processed == (0,)
+        assert field.counts == (8,)
         assert field.blocks.shape == (8, 1, 1, 1)
         w = grid.angular(0)
         poly = 1.0 + res.p[1] * np.exp(1j * w)
@@ -307,7 +307,7 @@ class TestStageUpdate:
         blocks = 0.1 * (rng.standard_normal((32, 32, 4, 1, 1))
                         + 1j * rng.standard_normal((32, 32, 4, 1, 1)))
         blocks[:, :, 0] = 1.0
-        field = StageField(DimSpec((4, 4, 4)), 3, (2, 1), (32, 32), blocks)
+        field = StageField(DimSpec((4, 4, 4)), 3, blocks)
         grid = SpectralGridSpec((32, 32, 32))
         stage_update(field, grid)
         peak, out = update_peak(stage_update, field, grid)
@@ -323,7 +323,7 @@ class TestStageUpdate:
         # 4-point processed axis; the first failing point in C order is (1,)
         blocks = np.zeros((4, 2, 1, 1), dtype=complex)
         blocks[:, 0, 0, 0] = [1.0, -1.0, -2.0, 1.0]
-        field = StageField(DimSpec((2, 2)), 2, (1,), (4,), blocks)
+        field = StageField(DimSpec((2, 2)), 2, blocks)
         with pytest.raises(NotPositiveDefinite) as info:
             stage_update(field, SpectralGridSpec((4, 4)))
         assert info.value.stage == 2

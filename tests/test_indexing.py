@@ -6,16 +6,14 @@ from hypothesis import strategies as st
 from conftest import character_matrix, random_correlation
 from ndspec import (
     DimSpec,
-    IndexPermutation,
     Nesting,
     apply_walking,
     assemble,
     has_toeplitz_character,
-    strides,
     walking_map,
 )
 from ndspec.errors import IndexOutOfRange, InvalidNesting, SizeMismatch
-from ndspec.indexing import flat_of_multi, multi_of_flat
+from ndspec.indexing import digits
 
 small_specs = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
     lambda gs: DimSpec(tuple(gs))
@@ -36,93 +34,83 @@ def spec_with_two_nestings(draw):
     return spec, first, second
 
 
-class TestStrides:
+class TestDigits:
     def test_hand_values(self):
+        # flat 5 of gamma = (2, 3) is the last cell under either nesting
         spec = DimSpec((2, 3))
-        assert strides(spec, Nesting((0, 1))).q == (1, 2)
-        assert strides(spec, Nesting((1, 0))).q == (1, 3)
-        assert strides(DimSpec((5,)), Nesting((0,))).q == (1,)
+        assert digits(spec, Nesting((0, 1)))[5].tolist() == [1, 2]
+        assert digits(spec, Nesting((1, 0)))[5].tolist() == [1, 2]
+        assert digits(spec, Nesting((0, 1)))[1].tolist() == [1, 0]
+        assert digits(spec, Nesting((1, 0)))[1].tolist() == [0, 1]
+
+    def test_zero_row(self):
+        assert digits(DimSpec((2, 3)), Nesting((1, 0)))[0].tolist() == [0, 0]
+
+    def test_1d_identity(self):
+        out = digits(DimSpec((4,)), Nesting((0,)))
+        assert out.dtype == np.intp
+        assert np.array_equal(out, np.arange(4)[:, None])
 
     def test_extents_follow_nesting(self):
-        st_ = strides(DimSpec((2, 3)), Nesting((1, 0)))
-        assert st_.extents == (3, 2)
-        assert st_.size == 6
+        # under (1, 0) dimension 1 (order 3) is slot 0 and cycles fastest
+        out = digits(DimSpec((2, 3)), Nesting((1, 0)))
+        assert out[:, 1].tolist() == [0, 1, 2, 0, 1, 2]
+        assert out[:, 0].tolist() == [0, 0, 0, 1, 1, 1]
 
     def test_rejects_wrong_dimension_count(self):
         with pytest.raises(InvalidNesting):
-            strides(DimSpec((2, 3)), Nesting((0,)))
+            digits(DimSpec((2, 3)), Nesting((0,)))
 
-    def test_rejects_non_bijection(self):
+    def test_nesting_must_be_a_permutation(self):
         with pytest.raises(InvalidNesting):
             Nesting((0, 0))
         with pytest.raises(InvalidNesting):
             Nesting((1, 2))
 
-
-class TestFlatMulti:
-    def test_zero_tuple(self):
-        st_ = strides(DimSpec((2, 3)), Nesting((0, 1)))
-        assert flat_of_multi((0, 0), st_) == 0
-        assert multi_of_flat(0, st_) == (0, 0)
-
-    def test_hand_values(self):
-        spec = DimSpec((2, 3))
-        assert flat_of_multi((1, 2), strides(spec, Nesting((0, 1)))) == 5
-        assert flat_of_multi((2, 1), strides(spec, Nesting((1, 0)))) == 5
-        assert multi_of_flat(5, strides(spec, Nesting((0, 1)))) == (1, 2)
-
-    def test_1d_identity(self):
-        st_ = strides(DimSpec((4,)), Nesting((0,)))
-        assert multi_of_flat(3, st_) == (3,)
-        assert flat_of_multi((3,), st_) == 3
-
-    def test_bounds(self):
-        st_ = strides(DimSpec((2, 3)), Nesting((0, 1)))
-        with pytest.raises(IndexOutOfRange):
-            flat_of_multi((2, 0), st_)
-        with pytest.raises(IndexOutOfRange):
-            flat_of_multi((0, -1), st_)
-        with pytest.raises(IndexOutOfRange):
-            flat_of_multi((0,), st_)
-        with pytest.raises(IndexOutOfRange):
-            multi_of_flat(6, st_)
-        with pytest.raises(IndexOutOfRange):
-            multi_of_flat(-1, st_)
+    @given(spec_with_nesting())
+    def test_rows_are_distinct_and_inside_the_box(self, case):
+        spec, nesting = case
+        out = digits(spec, nesting)
+        assert out.shape == (spec.q, spec.d)
+        assert np.all(out >= 0) and np.all(out < np.array(spec.gamma))
+        assert len({tuple(row) for row in out.tolist()}) == spec.q
 
     @given(spec_with_nesting())
-    def test_mutually_inverse_on_the_full_box(self, case):
+    def test_ravels_back_to_the_flat_index(self, case):
+        # slot 0 fastest: raveling the slot digits slowest-first gives 0..q-1
         spec, nesting = case
-        st_ = strides(spec, nesting)
-        for flat in range(spec.q):
-            assert flat_of_multi(multi_of_flat(flat, st_), st_) == flat
+        slowest_first = nesting.dims[::-1]
+        flats = np.ravel_multi_index(tuple(digits(spec, nesting)[:, slowest_first].T),
+                                     [spec.gamma[k] for k in slowest_first])
+        assert np.array_equal(flats, np.arange(spec.q))
 
 
 class TestWalkingMap:
-    def test_identity_when_nestings_agree(self):
-        spec = DimSpec((2, 3))
-        nest = Nesting((1, 0))
-        assert walking_map(spec, nest, nest).mapping == tuple(range(6))
+    @given(spec_with_nesting())
+    def test_identity_when_nestings_agree(self, case):
+        spec, nest = case
+        assert np.array_equal(walking_map(spec, nest, nest), np.arange(spec.q))
 
     def test_hand_enumeration_gamma_2_3(self):
         # digits under (0,1) move to slots (1,0): flat 1 = multi (1,0) -> 3
         spec = DimSpec((2, 3))
         perm = walking_map(spec, Nesting((0, 1)), Nesting((1, 0)))
-        assert perm.mapping == (0, 3, 1, 4, 2, 5)
+        assert perm.tolist() == [0, 3, 1, 4, 2, 5]
 
     @given(spec_with_two_nestings())
     def test_bijection(self, case):
         spec, src, dst = case
         perm = walking_map(spec, src, dst)
-        assert sorted(perm.mapping) == list(range(spec.q))
+        assert perm.dtype == np.intp
+        assert np.array_equal(np.sort(perm), np.arange(spec.q))
 
     @given(spec_with_two_nestings())
     def test_composes_to_identity(self, case):
         spec, src, dst = case
         forward = walking_map(spec, src, dst)
         backward = walking_map(spec, dst, src)
-        composed = tuple(backward.mapping[v] for v in forward.mapping)
-        assert composed == tuple(range(spec.q))
-        assert backward.mapping == forward.inverse().mapping
+        assert np.array_equal(backward[forward], np.arange(spec.q))
+        assert np.array_equal(backward, np.argsort(forward))
 
     def test_rejects_mismatched_nesting(self):
         with pytest.raises(InvalidNesting):
@@ -133,7 +121,7 @@ class TestApplyWalking:
     def test_identity_permutation(self):
         rng = np.random.default_rng(0)
         m = rng.standard_normal((6, 6))
-        out = apply_walking(m, IndexPermutation(tuple(range(6))))
+        out = apply_walking(m, np.arange(6))
         assert np.array_equal(out, m)
 
     def test_identity_matrix_is_fixed(self):
@@ -149,11 +137,19 @@ class TestApplyWalking:
         assert out[3, 0] == 7.0
 
     def test_size_mismatch(self):
-        perm = IndexPermutation((0, 1, 2))
+        perm = np.arange(3)
         with pytest.raises(SizeMismatch):
             apply_walking(np.eye(4), perm)
         with pytest.raises(SizeMismatch):
             apply_walking(np.zeros((2, 3)), perm)
+        with pytest.raises(SizeMismatch):
+            apply_walking(np.eye(3), perm[None, :])
+
+    def test_rejects_non_bijection(self):
+        with pytest.raises(ValueError):
+            apply_walking(np.eye(3), np.array([0, 0, 1]))
+        with pytest.raises(ValueError):
+            apply_walking(np.eye(3), np.array([0, 1, 3]))
 
     def test_preserves_trace_and_determinant(self):
         # permutation similarity keeps the eigenvalue multiset
@@ -214,13 +210,3 @@ class TestToeplitzCharacter:
         walked = apply_walking(m, walking_map(spec, src, dst))
         new_slot = dst.slot_of(src.dims[u])
         assert has_toeplitz_character(walked, spec, new_slot, dst)
-
-
-class TestIndexPermutation:
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            IndexPermutation((0, 0, 1))
-
-    def test_inverse_roundtrip(self):
-        perm = IndexPermutation((2, 0, 1))
-        assert perm.inverse().inverse().mapping == perm.mapping
