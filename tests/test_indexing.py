@@ -43,6 +43,15 @@ class TestDigits:
         assert digits(spec, Nesting((0, 1)))[1].tolist() == [1, 0]
         assert digits(spec, Nesting((1, 0)))[1].tolist() == [0, 1]
 
+    def test_stride_hand_values(self):
+        # the slower slot of gamma = (2, 3) first steps at flat 2 under (0, 1)
+        # and at flat 3 under (1, 0): strides (1, 2) and (1, 3)
+        spec = DimSpec((2, 3))
+        assert digits(spec, Nesting((0, 1)))[2].tolist() == [0, 1]
+        assert digits(spec, Nesting((1, 0)))[3].tolist() == [1, 0]
+        assert np.array_equal(digits(DimSpec((5,)), Nesting((0,))),
+                              np.arange(5)[:, None])
+
     def test_zero_row(self):
         assert digits(DimSpec((2, 3)), Nesting((1, 0)))[0].tolist() == [0, 0]
 
