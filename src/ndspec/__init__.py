@@ -5,7 +5,6 @@ cost model, and a correlation-matching metric."""
 from .baselines import (
     AliasingWarning,
     CostReport,
-    LagMatch,
     MatchReport,
     capon_cost,
     capon_spectrum,
@@ -62,7 +61,6 @@ __all__ = [
     "IndexOutOfRange",
     "InsufficientData",
     "InvalidNesting",
-    "LagMatch",
     "LevinsonResult",
     "MatchReport",
     "NdspecError",

@@ -4,11 +4,13 @@ The cost model is the symbolic flop count of both estimators over a
 spectral grid, kept in exact rational arithmetic; it mirrors the
 algorithm steps (a zero-block inversion at 3/2 n^3 plus the block
 Fourier sum at every stage), not measured instruction counts.
+
+Lag matching reads every stored lag back from a gridded spectrum and
+reports the whole lag box as one read-only record array.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -121,49 +123,24 @@ def cost_report(spec: DimSpec, grid: SpectralGridSpec) -> CostReport:
 
 
 @dataclass(frozen=True)
-class LagMatch:
-    """One lag of a matching report."""
-
-    lag: tuple[int, ...]
-    original: complex
-    reconstructed: complex
-    error: float
-    mode: str  # "rel", or "abs" when the original lag is near zero
-
-
-@dataclass(frozen=True)
 class MatchReport:
-    """Per-lag reconstruction errors of a gridded spectrum."""
+    """Per-lag reconstruction errors of a gridded spectrum.
+
+    ``per_lag`` is a read-only record array, one record per stored lag in
+    lexicographic order. Its fields: ``lag``, the (d,) int centred offsets
+    t; ``original`` and ``reconstructed``, the complex r(t) and r_hat(t);
+    ``error``, the float |r_hat - r| / |r|, or |r_hat - r| when ``mode`` is
+    "abs" (|r| near zero) rather than "rel". Each field is also a column
+    over the whole box, e.g. ``report.per_lag.error``.
+    """
 
     gamma: tuple[int, ...]
     counts: tuple[int, ...]
-    per_lag: tuple[LagMatch, ...]
+    per_lag: np.recarray
 
     @property
     def max_error(self) -> float:
-        return max(entry.error for entry in self.per_lag)
-
-
-def _match_arrays(s: SpectrumEstimate, c: CorrelationSignal):
-    """(reconstructed lags, per-lag error, near-zero mask) of
-    ``correlation_match`` as lag-box arrays."""
-    if s.grid.d != c.d:
-        raise DimensionMismatch(f"{s.grid.d}-d spectrum for a {c.d}-d signal")
-    coarse = [axis for axis in range(c.d)
-              if s.grid.counts[axis] < 2 * c.gamma[axis] - 1]
-    if coarse:
-        warnings.warn(
-            f"grid counts {s.grid.counts} under-resolve the lag box for axes {coarse}",
-            AliasingWarning,
-            stacklevel=3,
-        )
-    reconstructed = _hermitian(
-        np.fft.fftn(s.power)[_wrap(c.gamma, s.grid.counts)] / s.grid.size
-    )
-    magnitude = np.abs(c.lags)
-    near = magnitude < NEAR_ZERO_LAG
-    error = np.abs(reconstructed - c.lags) / np.where(near, 1.0, magnitude)
-    return reconstructed, error, near
+        return float(self.per_lag.error.max())
 
 
 def correlation_match(s: SpectrumEstimate, c: CorrelationSignal) -> MatchReport:
@@ -175,12 +152,28 @@ def correlation_match(s: SpectrumEstimate, c: CorrelationSignal) -> MatchReport:
     |r| falls below the near-zero threshold. Warns when some axis has
     fewer than 2 gamma_i - 1 points, where reconstructed lags alias.
     """
-    reconstructed, error, near = _match_arrays(s, c)
-    entries = [
-        LagMatch(lag, original, rhat, err, "abs" if abs_mode else "rel")
-        for lag, original, rhat, err, abs_mode in zip(
-            itertools.product(*(range(1 - g, g) for g in c.gamma)),
-            c.lags.ravel().tolist(), reconstructed.ravel().tolist(),
-            error.ravel().tolist(), near.ravel().tolist())
-    ]
-    return MatchReport(c.gamma, s.grid.counts, tuple(entries))
+    if s.grid.d != c.d:
+        raise DimensionMismatch(f"{s.grid.d}-d spectrum for a {c.d}-d signal")
+    coarse = [axis for axis in range(c.d)
+              if s.grid.counts[axis] < 2 * c.gamma[axis] - 1]
+    if coarse:
+        warnings.warn(
+            f"grid counts {s.grid.counts} under-resolve the lag box for axes {coarse}",
+            AliasingWarning,
+            stacklevel=2,
+        )
+    reconstructed = _hermitian(
+        np.fft.fftn(s.power)[_wrap(c.gamma, s.grid.counts)] / s.grid.size
+    ).ravel()
+    original = c.lags.ravel()
+    magnitude = np.abs(original)
+    near = magnitude < NEAR_ZERO_LAG
+    error = np.abs(reconstructed - original) / np.where(near, 1.0, magnitude)
+    lags = np.indices(c.lags.shape).reshape(c.d, -1).T - (np.array(c.gamma) - 1)
+    per_lag = np.rec.fromarrays(
+        [lags, original, reconstructed, error, np.where(near, "abs", "rel")],
+        dtype=[("lag", np.int64, (c.d,)), ("original", complex), ("reconstructed", complex),
+               ("error", float), ("mode", "U3")],
+    )
+    per_lag.flags.writeable = False
+    return MatchReport(c.gamma, s.grid.counts, per_lag)

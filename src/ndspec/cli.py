@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .baselines import _match_arrays, capon_spectrum, cost_report
+from .baselines import capon_spectrum, correlation_match, cost_report
 from .correlation import (
     SpectralComposition,
     assemble,
@@ -114,10 +114,9 @@ def _load_spectrum_csv(path) -> SpectrumEstimate:
     head, rows = _read_table(path, 1)
     if not head:
         raise FileFormatError(f"{path}: empty spectrum file")
-    header = head[0].split(",")
-    if len(header) < 2 or header[-1] != "power" or header[0] != "f_0":
+    d = head[0].count(",")
+    if d < 1 or head[0] != ",".join([f"f_{i}" for i in range(d)] + ["power"]):
         raise FileFormatError(f"{path}: unexpected header {head[0]!r}")
-    d = len(header) - 1
     if not rows:
         raise FileFormatError(f"{path}: no data rows")
     table = _parse_rows(
@@ -222,14 +221,12 @@ def cmd_cost(args) -> int:
 def cmd_match(args) -> int:
     spectrum = _load_spectrum_csv(args.spectrum)
     signal = load_ndcorr(args.correlation)
-    reconstructed, error, near = _match_arrays(spectrum, signal)
-    lags, rhat = signal.lags.ravel(), reconstructed.ravel()
-    values = _csv_rows(np.stack([lags.real, lags.imag, rhat.real, rhat.imag, error.ravel()],
-                                axis=1))
-    modes = np.where(near.ravel(), ",abs", ",rel").tolist()
+    per_lag = correlation_match(spectrum, signal).per_lag
+    r, rhat = per_lag.original, per_lag.reconstructed
+    values = _csv_rows(np.stack([r.real, r.imag, rhat.real, rhat.imag, per_lag.error], axis=1))
     header = ",".join([f"t_{i}" for i in range(signal.d)]
                       + ["r_re", "r_im", "rhat_re", "rhat_im", "rel_err", "mode"])
-    rows = map("".join, zip(_lag_prefixes(signal.gamma, ","), values, modes))
+    rows = map("{}{},{}".format, _lag_prefixes(signal.gamma, ","), values, per_lag.mode.tolist())
     _write_lines(args.out, [header, *rows])
     return EXIT_OK
 

@@ -67,10 +67,6 @@ class Nesting:
     def d(self) -> int:
         return len(self.dims)
 
-    def slot_of(self, dim: int) -> int:
-        """Slot occupied by a dimension label (the inverse permutation)."""
-        return self.dims.index(dim)
-
 
 def _check_nesting(spec: DimSpec, nesting: Nesting) -> None:
     if nesting.d != spec.d:
@@ -119,9 +115,7 @@ def apply_walking(m, perm) -> np.ndarray:
     return out
 
 
-def has_toeplitz_character(m, spec: DimSpec, u: int, nesting: Nesting,
-                           rel_tol: float = CHAR_REL_TOL,
-                           abs_tol: float = CHAR_ABS_TOL) -> bool:
+def has_toeplitz_character(m, spec: DimSpec, u: int, nesting: Nesting) -> bool:
     """Whether entries depend on slot-u digits only through their difference.
 
     Every entry is compared against its canonical representative (the
@@ -143,5 +137,5 @@ def has_toeplitz_character(m, spec: DimSpec, u: int, nesting: Nesting,
     rows = flats[:, None] + (np.maximum(diff, 0) - di) * stride
     cols = flats[None, :] + (np.maximum(-diff, 0) - dj) * stride
     ref = a[rows, cols]
-    tol = np.maximum(abs_tol, rel_tol * np.maximum(np.abs(a), np.abs(ref)))
+    tol = np.maximum(CHAR_ABS_TOL, CHAR_REL_TOL * np.maximum(np.abs(a), np.abs(ref)))
     return bool(np.all(np.abs(a - ref) <= tol))

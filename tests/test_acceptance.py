@@ -187,7 +187,7 @@ def test_criterion_6_structural_property_suite():
         m = character_matrix(rng, spec, u, src)
         walked = apply_walking(m, perm)
         walking_ok = walking_ok and has_toeplitz_character(
-            walked, spec, dst.slot_of(src.dims[u]), dst
+            walked, spec, dst.dims.index(src.dims[u]), dst
         )
 
     pd_ok = True

@@ -167,8 +167,8 @@ class TestCorrelationMatch:
         with pytest.warns(AliasingWarning):
             report = correlation_match(s, c)
         lags = list(itertools.product(*(range(1 - g, g) for g in gamma)))
-        assert [entry.lag for entry in report.per_lag] == lags
-        rhat = {entry.lag: entry.reconstructed for entry in report.per_lag}
+        assert [tuple(entry.lag) for entry in report.per_lag] == lags
+        rhat = {tuple(entry.lag): entry.reconstructed for entry in report.per_lag}
         for t in lags:
             assert abs(rhat[t] - mean_of_kernels(s.power, t)) <= 1e-14 * s.power.max()
             assert rhat[tuple(-ti for ti in t)] == rhat[t].conjugate()
@@ -183,7 +183,7 @@ class TestCorrelationMatch:
         flat = SpectrumEstimate(SpectralGridSpec((8,)), np.full(8, var))
         report = correlation_match(flat, c)
         assert report.max_error < 1e-15
-        modes = {entry.lag: entry.mode for entry in report.per_lag}
+        modes = {tuple(entry.lag): entry.mode for entry in report.per_lag}
         assert modes[(0,)] == "rel"
         assert modes[(1,)] == "abs"
 
@@ -209,12 +209,18 @@ class TestCorrelationMatch:
         report = correlation_match(s, c)
         assert len(report.per_lag) == 25
         assert all(np.isfinite(entry.error) for entry in report.per_lag)
+        with pytest.raises(ValueError):
+            report.per_lag.error[0] = 0.0
+        assert np.array_equal(report.per_lag.error.reshape(c.lags.shape),
+                              np.reshape([entry.error for entry in report.per_lag], c.lags.shape))
+        assert type(report.max_error) is float
 
     def test_warns_on_coarse_grid(self):
         c = CorrelationSignal.from_forward_lags([1.0, 0.5])
         s = SpectrumEstimate(SpectralGridSpec((2,)), np.full(2, 1.0))
-        with pytest.warns(AliasingWarning):
+        with pytest.warns(AliasingWarning) as record:
             correlation_match(s, c)
+        assert record[0].filename == __file__
 
     def test_dimension_mismatch(self):
         c = CorrelationSignal.from_forward_lags([1.0, 0.5])

@@ -276,6 +276,8 @@ SPECTRUM_REFUSALS = {
     "empty": "",
     "header_only": "f_0,f_1,power\n",
     "wrong_header": "f_0,f_1,pow\n0.0,0.0,1.0\n",
+    "misnamed_axis": "f_0,zzz,power\n0.0,0.0,1.0\n",
+    "repeated_axis_name": "f_0,f_0,power\n0.0,0.0,1.0\n",
     "ragged_row": "f_0,f_1,power\n0.0,0.0,1.0\n0.0,1.0\n",
     "uniform_wrong_width": "f_0,f_1,power\n0.0,0.0,1.0,1.0\n",
     "non_numeric": "f_0,f_1,power\n0.0,0.0,abc\n",
@@ -408,7 +410,7 @@ def fmt(x):
 
 
 def reference_match_lines(report):
-    """The match CSV formatted one LagMatch record at a time."""
+    """The match CSV formatted one per_lag record at a time."""
     lines = [",".join([f"t_{i}" for i in range(len(report.gamma))]
                       + ["r_re", "r_im", "rhat_re", "rhat_im", "rel_err", "mode"])]
     for e in report.per_lag:

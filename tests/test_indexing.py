@@ -217,5 +217,5 @@ class TestToeplitzCharacter:
         m = character_matrix(rng, spec, u, src)
         assert has_toeplitz_character(m, spec, u, src)
         walked = apply_walking(m, walking_map(spec, src, dst))
-        new_slot = dst.slot_of(src.dims[u])
+        new_slot = dst.dims.index(src.dims[u])
         assert has_toeplitz_character(walked, spec, new_slot, dst)
