@@ -122,7 +122,7 @@ def cost_report(spec: DimSpec, grid: SpectralGridSpec) -> CostReport:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchReport:
     """Per-lag reconstruction errors of a gridded spectrum.
 

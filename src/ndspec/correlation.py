@@ -35,7 +35,7 @@ from .textio import _csv_rows, _lag_prefixes, _parse_rows, _read_table
 HERMITIAN_REL_TOL = 1e-9
 
 NDCORR_MAGIC = "ndcorr 1"
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationSignal:
     """Lag function on the box prod [-(gamma_i - 1), gamma_i - 1].
 
@@ -252,7 +252,7 @@ def synth_correlation(comp: SpectralComposition, gamma,
     return CorrelationSignal(gamma, _hermitian(acc))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockToeplitzMatrix:
     """Hermitian matrix of a correlation signal under one nesting, as
     built by ``assemble``.

@@ -7,12 +7,16 @@ highest label down. Each stage holds, at every already-processed
 frequency tuple, the first block-column of a running inverse; the stage
 forms the block Fourier sum M(w) over a new frequency axis, pushes it
 through the inverted zero block as the congruence M [G(0)]^{-1} M^H, and
-extracts a smaller first block-column for the next stage. The new axis
-is taken in chunks of about an eighth of its frequencies: one product
-with a phase matrix gives a chunk's Fourier sums at every point, and one
+extracts a smaller first block-column for the next stage. Only the
+columns that are kept are formed: M ([G(0)]^{-1} M_top^H), with M_top
+the leading rows of M, costs h^2 h' per point where (M [G(0)]^{-1}) M^H
+costs h^3. The stage copies its blocks once, block-major, and takes the
+new axis in chunks of about an eighth of its frequencies: one GEMM with
+a phase matrix gives a chunk's Fourier sums at every point, and one
 batched call its congruences, so no Python loop runs over points or
-single frequencies of a long axis. After the last dimension the field
-is scalar and the power spectrum is its reciprocal.
+single frequencies of a long axis. The last stage's zero blocks are
+1 x 1 and are inverted by a reciprocal. After the last dimension the
+field is scalar and the power spectrum is its reciprocal.
 
 In one dimension the sweep reproduces the classical autoregressive
 (maximum entropy) spectrum of the lag sequence exactly: the first column
@@ -33,8 +37,11 @@ from .grid import SpectralGridSpec, SpectrumEstimate
 from .indexing import DimSpec, Nesting, apply_walking, walking_map
 from .linalg import PD_PIVOT_REL, _cholesky, invert_pd, one_blas_thread
 
+# Largest triangular factor that _invert_lower hands to np.linalg.inv whole.
+_TRIANGULAR_LEAF = 32
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class LevinsonResult:
     """Normalized forward prediction solution of a 1D lag sequence.
 
@@ -96,7 +103,7 @@ def ar_spectrum_1d(res: LevinsonResult, grid: SpectralGridSpec) -> SpectrumEstim
     return SpectrumEstimate(grid, res.rho / np.abs(poly) ** 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StageField:
     """First block-column blocks of the running inverse at one stage.
 
@@ -142,13 +149,16 @@ def init_stage(r_inv, spec: DimSpec) -> StageField:
 @one_blas_thread
 def stage_update(field: StageField, grid: SpectralGridSpec) -> StageField:
     """One sweep stage: invert the zero blocks of every processed point in
-    one stacked call; then, per chunk of about an eighth of the new axis,
-    one product with phases of (m k mod C) / C of a turn gives the block
-    Fourier sums M(w_m) = sum_k G(k) e^{j k w_m}, folding k >= C exactly,
-    and one batched call the congruences M [G(0)]^{-1} M^H, keeping the
-    columns of the next stage's first block-column (scalars at the last
-    stage). NotPositiveDefinite is re-raised tagged with the stage and the
-    first processed grid point, in C order, whose zero block failed.
+    one stacked call (a reciprocal when they are 1 x 1) and copy the blocks
+    once, block-major, into one (n_blocks, points h h) matrix. Per chunk of
+    about an eighth of the new axis, one GEMM with phases of (m k mod C) / C
+    of a turn then gives the block Fourier sums M(w_m) = sum_k G(k) e^{j k w_m}
+    at every point, folding k >= C exactly, and one batched product the
+    congruences M ([G(0)]^{-1} M_top^H), where M_top holds the rows of the
+    next stage's first block-column (a scalar at the last stage). They are
+    written through a frequency-major view of the output. NotPositiveDefinite
+    is re-raised tagged with the stage and the first processed grid point,
+    in C order, whose zero block failed.
     """
     spec, x, d = field.spec, field.stage, field.spec.d
     if x > d:
@@ -156,26 +166,30 @@ def stage_update(field: StageField, grid: SpectralGridSpec) -> StageField:
     if grid.d != d:
         raise DimensionMismatch(f"{grid.d}-d grid for a {d}-d field")
     dim = d - x
-    count, h = grid.counts[dim], field.block_size
+    count, h, n_blocks = grid.counts[dim], field.block_size, field.n_blocks
     try:
-        g0_inv = invert_pd(field.blocks[..., 0, :, :])[..., None, :, :]
+        g0_inv = invert_pd(field.blocks[..., 0, :, :])
     except NotPositiveDefinite as exc:
         raise exc.tagged(x, exc.index) from exc
     new_h = h // spec.gamma[dim - 1] if x < d else 1
-    by_block, k = np.moveaxis(field.blocks, -3, 0), np.arange(field.n_blocks)
-    roots = np.exp(2j * np.pi / count * np.arange(count))
+    g0_inv = g0_inv.reshape(-1, h, h)
+    points = len(g0_inv)
+    # row k holds G(k) at every point: one copy per stage, not per chunk
+    flat = np.moveaxis(field.blocks, -3, 0).reshape(n_blocks, -1)
+    m = np.arange(count)
+    phases = np.exp(2j * np.pi / count * m)[np.outer(m, np.arange(n_blocks)) % count]
     out = np.empty(field.counts + (count, h, new_h), dtype=complex)
+    by_frequency = out.reshape(points, count, h, new_h).swapaxes(0, 1)
     step = -(-count // 8)  # temporaries of a few eighths of ``out``
     for start in range(0, count, step):
-        m = np.arange(start, min(start + step, count))
-        phases = roots[np.outer(m, k) % count]
-        summed = np.moveaxis(np.tensordot(phases, by_block, axes=1), 0, -3)
-        kept = out[..., start:start + m.size, :, :]
+        stop = min(start + step, count)
+        summed = (phases[start:stop] @ flat).reshape(stop - start, points, h, h)
+        kept = by_frequency[start:stop]
         if h > 1:
-            np.matmul(summed @ g0_inv, summed[..., :new_h, :].conj().swapaxes(-1, -2), out=kept)
+            np.matmul(summed, g0_inv @ summed[..., :new_h, :].conj().swapaxes(-1, -2), out=kept)
         else:  # 1 x 1 blocks: elementwise, not one BLAS call per point and frequency
             right = summed.conj()
-            kept[...] = np.multiply(np.multiply(summed, g0_inv, out=summed), right, out=summed)
+            np.multiply(np.multiply(summed, g0_inv, out=summed), right, out=kept)
     return StageField(spec, x + 1, out.reshape(field.counts + (count, h // new_h, new_h, new_h)))
 
 
@@ -191,6 +205,25 @@ def _toeplitz_blocks(c: CorrelationSignal) -> np.ndarray:
     inner = c.gamma[:-1] or (1,)
     column = c.lags.reshape(-1, 2 * g - 1)[:, g - 1:].T
     return column.take(_lag_gather(inner, Nesting.identity(len(inner))), axis=1)
+
+
+def _invert_lower(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower triangular matrix by the 2 x 2 block
+    recursion [A 0; B C]^{-1} = [A^{-1} 0; -C^{-1} B A^{-1} C^{-1}], with
+    np.linalg.inv at leaves of _TRIANGULAR_LEAF or fewer rows. This is the
+    blocking of LAPACK's trtri (stability: Du Croz & Higham 1992). At
+    h = 100 it takes under half the time of np.linalg.inv on the whole
+    factor, an LU solve against the identity that ignores the zeros.
+    """
+    n = lower.shape[-1]
+    if n <= _TRIANGULAR_LEAF:
+        return np.linalg.inv(lower)
+    k = n // 2
+    a_inv, c_inv = _invert_lower(lower[:k, :k]), _invert_lower(lower[k:, k:])
+    inv = np.zeros_like(lower)
+    inv[:k, :k], inv[k:, k:] = a_inv, c_inv
+    inv[k:, :k] = -(c_inv @ (lower[k:, :k] @ a_inv))
+    return inv
 
 
 @one_blas_thread
@@ -223,7 +256,7 @@ def _first_block_column(c: CorrelationSignal) -> np.ndarray:
     x[0] = np.eye(h)
     for n in range(g):
         try:
-            linv = np.linalg.inv(_cholesky(p[::-1, ::-1].conj(), floor))
+            linv = _invert_lower(_cholesky(p[::-1, ::-1].conj(), floor))
         except NotPositiveDefinite as exc:
             pivot = n * h + exc.pivot_index
             raise NotPositiveDefinite(

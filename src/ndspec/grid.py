@@ -40,7 +40,7 @@ class SpectralGridSpec:
         return 2.0 * np.pi * self.frequencies(axis)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumEstimate:
     """Strictly positive power values indexed power[m_0, ..., m_{d-1}]."""
 

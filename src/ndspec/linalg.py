@@ -10,7 +10,8 @@ A single matrix is inverted from its factor in place by scipy's zpotri,
 about a quarter of the work of inverting the factor and multiplying it
 out. A stack stays in numpy's batched calls: zpotri takes one matrix per
 Python call, and a sweep stage's stack can hold thousands of small zero
-blocks.
+blocks. A stack of 1 x 1 matrices, the last sweep stage's zero blocks,
+is inverted by a reciprocal when it would factor.
 """
 
 from __future__ import annotations
@@ -152,9 +153,17 @@ def invert_pd(h) -> np.ndarray:
     single matrix (``ndim == 2``) is then inverted in place in its factor's
     memory by LAPACK's zpotri; a stack takes one batched inverse of L and
     the product L^{-H} L^{-1}, which beats a Python call per matrix on the
-    sweep's many small zero blocks.
+    sweep's many small zero blocks. A stack of 1 x 1 matrices whose real
+    parts are all positive and finite is inverted by the reciprocal of its
+    real part; any other takes the factorization, so it is refused as
+    before.
     """
-    lower = cholesky(h)
+    a = np.asarray(h, dtype=complex)
+    if a.shape[-2:] == (1, 1):
+        re = a.real
+        if np.all((re > 0.0) & (re < np.inf)):
+            return (1.0 / re).astype(complex)
+    lower = cholesky(a)
     if lower.ndim == 2 and lower.size:
         # C-ordered L is Fortran-ordered L^T, an upper factor of conj(h):
         # zpotri leaves the upper triangle of conj(h)^{-1} there, which is

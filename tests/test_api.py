@@ -62,3 +62,31 @@ def test_names_used_by_bench_and_scripts_resolve():
                     obj = getattr(obj, name)
     assert used >= 30
     assert not unresolved
+
+
+def _record_pairs():
+    """Two distinct but equal instances of each record that holds arrays."""
+    def signal():
+        return ndspec.CorrelationSignal.from_forward_lags([1.0, 0.5])
+
+    def spectrum():
+        return ndspec.sequential_spectrum(signal(), ndspec.SpectralGridSpec((4,)))
+
+    makers = {
+        "CorrelationSignal": signal,
+        "BlockToeplitzMatrix": lambda: ndspec.assemble(signal()),
+        "SpectrumEstimate": spectrum,
+        "MatchReport": lambda: ndspec.correlation_match(spectrum(), signal()),
+        "LevinsonResult": lambda: ndspec.levinson_1d(signal()),
+    }
+    return {name: (make(), make()) for name, make in makers.items()}
+
+
+def test_records_holding_arrays_compare_and_hash():
+    # a generated __eq__ over array fields raises on two equal records
+    for name, (a, b) in _record_pairs().items():
+        assert type(a).__name__ == name
+        assert (a == b) is False and (a != b) is True, name
+        assert (a == a) is True, name
+        assert isinstance(hash(a), int) and hash(a) == hash(a), name
+        assert len({a, b}) == 2, name

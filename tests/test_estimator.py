@@ -3,7 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_correlation, random_correlation_1d, separable_correlation
+from conftest import (
+    random_correlation,
+    random_correlation_1d,
+    random_pd_matrix,
+    separable_correlation,
+)
 from ndspec import (
     CorrelationSignal,
     DimSpec,
@@ -331,6 +336,28 @@ class TestStageUpdate:
         assert info.value.pivot_index == 0
         assert info.value.pivot_value == -1.0
 
+    @pytest.mark.parametrize("bad", [0.0, -2.0, -0.0, np.nan, 1j, 0.5 - 1e-300j])
+    def test_last_stage_refusal_matches_the_factorization(self, bad):
+        # the 1 x 1 zero blocks' reciprocal takes only positive finite real
+        # parts; any other block is refused by the factorization, as before,
+        # and an imaginary part is ignored as the factorization ignores it
+        blocks = np.zeros((4, 2, 1, 1), dtype=complex)
+        blocks[:, 0, 0, 0] = [1.0, 2.0, bad, 1.0]
+        blocks[:, 1, 0, 0] = 0.1
+        field = StageField(DimSpec((2, 2)), 2, blocks)
+        value = complex(bad).real
+        if value > 0:
+            out = stage_update(field, SpectralGridSpec((4, 4))).blocks[2, :, 0, 0, 0]
+            w = 2.0 * np.pi * np.arange(4) / 4
+            expected = np.abs(bad + 0.1 * np.exp(1j * w)) ** 2 / value
+            np.testing.assert_allclose(out.real, expected, rtol=1e-12)
+            return
+        with pytest.raises(NotPositiveDefinite) as info:
+            stage_update(field, SpectralGridSpec((4, 4)))
+        assert (info.value.stage, info.value.frequency, info.value.pivot_index) == (2, (2,), 0)
+        assert np.array_equal(info.value.pivot_value, value, equal_nan=True)
+        assert np.signbit(info.value.pivot_value) == np.signbit(value)
+
     def test_rejects_update_after_completion(self):
         c = CorrelationSignal.from_forward_lags([1.0, 0.5])
         grid = SpectralGridSpec((4,))
@@ -382,6 +409,43 @@ class TestFirstBlockColumn:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 1000 ** 2
+
+
+class TestInvertLower:
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 100, 129])
+    def test_matches_the_dense_inverse(self, n):
+        lower = cholesky(random_pd_matrix(np.random.default_rng(n), n))
+        inv = estimator._invert_lower(lower)
+        expected = np.linalg.inv(lower)
+        assert inv.shape == (n, n) and not np.any(np.triu(inv, 1))
+        assert np.max(np.abs(inv - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.max(np.abs(inv @ lower - np.eye(n))) <= 1e-12
+
+    def test_badly_scaled_diagonal(self):
+        # L = D U with diag(D) from 1e-8 to 1e8 and U unit lower triangular:
+        # column j of L^{-1} = U^{-1} D^{-1} scales as 1 / D_j
+        rng = np.random.default_rng(21)
+        n = 100
+        unit = np.eye(n) + 0.1 * np.tril(rng.standard_normal((n, n))
+                                         + 1j * rng.standard_normal((n, n)), -1) / np.sqrt(n)
+        lower = np.logspace(-8, 8, n)[:, None] * unit
+        inv = estimator._invert_lower(lower)
+        expected = np.linalg.inv(lower)
+        column_scale = np.max(np.abs(expected), axis=0)
+        assert np.max(np.abs(inv - expected) / column_scale) <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [(6, 6, 4), (8, 8, 3), (10, 10, 2)])
+    def test_recursion_on_near_singular_lines_with_blocks_over_a_leaf(self, gamma):
+        # h = 36, 64 and 100 rows: every order's factor is inverted by the
+        # block recursion; condition numbers 8e6 to 5e11
+        h = int(np.prod(gamma[:-1]))
+        assert h > estimator._TRIANGULAR_LEAF
+        for n_lines, noise in ((h // 2, 1e-8), (2 * h, 1e-9)):
+            c = _lines(gamma, n_lines, noise, 3)
+            r = assemble(c).entries
+            dense = init_stage(invert_pd(r), DimSpec(gamma)).blocks
+            err = np.max(np.abs(_first_block_column(c) - dense)) / np.max(np.abs(dense))
+            assert err <= 1e-12 * np.linalg.cond(r), (n_lines, noise, err)
 
 
 def _lines(gamma, n_lines, noise, seed):

@@ -6,7 +6,7 @@ import pytest
 import scipy
 
 from conftest import random_correlation, random_pd_matrix
-from ndspec import SpectralGridSpec, invert_pd, linalg, sequential_spectrum
+from ndspec import SpectralGridSpec, estimator, invert_pd, linalg, sequential_spectrum
 from ndspec.errors import NotPositiveDefinite, SizeMismatch
 from ndspec.linalg import cholesky
 
@@ -172,6 +172,32 @@ class TestInvertPd:
         with pytest.raises(SizeMismatch):
             invert_pd(np.zeros((2, 3)))
 
+    def test_scalar_stack_is_the_reciprocal_of_its_real_part(self):
+        # 1 x 1 blocks, as at every sweep's last stage: the factorization
+        # reads only the real part of a diagonal, and so does the reciprocal
+        a = np.array([2.0, 0.3 + 0.7j, 1e-300, 7.0 - 1e300j, 3.0]).reshape(5, 1, 1)
+        out = invert_pd(a)
+        assert out.dtype == complex and out.shape == a.shape
+        assert np.array_equal(out, 1.0 / a.real)
+        linv = np.linalg.inv(np.linalg.cholesky(a))
+        np.testing.assert_allclose(out, linv.conj() * linv, rtol=1e-14)
+        assert np.array_equal(invert_pd(a[1]), 1.0 / a[1].real)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.0, np.nan, np.inf, 1j])
+    def test_scalar_stack_refusal_names_the_block_and_pivot(self, bad):
+        # what the factorization reports: the first failing block in C
+        # order, pivot 0 and the real part, signed zero and NaN included
+        a = np.array([1.0, 2.0, bad, bad], dtype=complex).reshape(2, 2, 1, 1)
+        with pytest.raises(NotPositiveDefinite) as info:
+            invert_pd(a)
+        value = complex(bad).real
+        assert info.value.index == (1, 0) and info.value.pivot_index == 0
+        assert np.array_equal(info.value.pivot_value, value, equal_nan=True)
+        assert np.signbit(info.value.pivot_value) == np.signbit(value)
+        with pytest.raises(NotPositiveDefinite) as single:
+            invert_pd(a[1, 0])
+        assert single.value.index == () and single.value.pivot_index == 0
+
 
 class TestOneBlasThread:
     @staticmethod
@@ -263,16 +289,34 @@ class TestOneBlasThread:
 
     def test_sweep_runs_on_one_thread(self, monkeypatch):
         get = self.openblas_get("numpy", getattr(np.__config__, "CONFIG", {}))
-        before, seen = get(), []
-        factor, fourier_sum = np.linalg.cholesky, np.tensordot
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: seen.append(get()) or factor(a))
-        monkeypatch.setattr(np, "tensordot", lambda *a, **k: seen.append(get()) or fourier_sum(*a, **k))
+        before, seen = get(), {"factor": [], "inverse": [], "fourier sum": []}
+
+        class CountedBlocks(np.ndarray):
+            """Stage blocks whose products record the thread count."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    seen["fourier sum"].append(get())
+                plain = [x.view(np.ndarray) if isinstance(x, CountedBlocks) else x
+                         for x in inputs]
+                return getattr(ufunc, method)(*plain, **kwargs)
+
+        factor, inverse, stage_field = np.linalg.cholesky, np.linalg.inv, estimator.StageField
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: seen["factor"].append(get()) or factor(a))
+        monkeypatch.setattr(np.linalg, "inv", lambda a: seen["inverse"].append(get()) or inverse(a))
+        monkeypatch.setattr(estimator, "StageField", lambda spec, stage, blocks: stage_field(
+            spec, stage, blocks.view(CountedBlocks)))
         rng = np.random.default_rng(16)
         sequential_spectrum(random_correlation(rng, (2, 3)), SpectralGridSpec((4, 5)))
-        # one factorization per recursion order (gamma_1 = 3) and per stage
-        # (d = 2), then one Fourier sum per chunk of each swept axis; a chunk
-        # holds ceil(C / 8) frequencies, one on these axes of 5 and 4 points
-        assert len(seen) == 3 + 2 + 5 + 4 and set(seen) == {1}
+        # one factorization and one triangular inverse per recursion order
+        # (gamma_1 = 3, h = 2); stage 1 factors its one 2 x 2 zero block, and
+        # stage 2's 1 x 1 blocks take a reciprocal; then one Fourier-sum GEMM
+        # per chunk of each swept axis; a chunk holds ceil(C / 8)
+        # frequencies, one on these axes of 5 and 4 points
+        assert {name: len(counts) for name, counts in seen.items()} == {
+            "factor": 3 + 1, "inverse": 3, "fourier sum": 5 + 4}
+        assert set(sum(seen.values(), [])) == {1}
         assert get() == before
 
     def test_single_inverse_pins_both_libraries(self, monkeypatch):
