@@ -42,14 +42,6 @@ def import_tree(root: Path, name: str):
     return module
 
 
-def load_workloads():
-    """bench/workloads.py of this checkout, read as it is."""
-    sys.path.insert(0, str(ROOT / "bench"))
-    import workloads
-
-    return workloads
-
-
 def timed(nd, inputs):
     started = time.perf_counter()
     estimate = nd.sequential_spectrum(inputs.signal, inputs.grid)
@@ -102,7 +94,9 @@ def main():
 
     trees = (import_tree(args.base_root, "ndspec_base"),
              import_tree(args.change_root, "ndspec_change"))
-    workloads = load_workloads()
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads  # the benchmark's inputs, read as they are
+
     for name in args.workload:
         for seed in args.seed:
             print("\n".join(compare(trees, workloads, name, seed, args.pairs, args.toy)),
