@@ -5,8 +5,14 @@ spectral grid, kept in exact rational arithmetic; it mirrors the
 algorithm steps (a zero-block inversion at 3/2 n^3 plus the block
 Fourier sum at every stage), not measured instruction counts.
 
-Lag matching reads every stored lag back from a gridded spectrum and
-reports the whole lag box as one read-only record array.
+Capon's denominator and lag matching both move between the lag box and
+the grid by separable partial DFTs: one axis at a time against a
+(C_i, 2 gamma_i - 1) table of phases, so only the box's lags are
+formed or read, never a full-grid FFT. On a grid that resolves the
+box a pass costs at most |G| (2 gamma_i - 1) complex multiply-adds,
+against about 5 |G| log2 |G| flops for an FFT of the grid. Lag matching reads every stored lag back from a
+gridded spectrum and reports the whole lag box as one read-only record
+array.
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .correlation import CorrelationSignal, _hermitian, _lag_gather, _wrap
+from .correlation import CorrelationSignal, _hermitian, _lag_gather
 from .errors import DimensionMismatch, SizeMismatch
-from .grid import SpectralGridSpec, SpectrumEstimate
+from .grid import SpectralGridSpec, SpectrumEstimate, _phases
 from .indexing import DimSpec, Nesting
 
 # Below this magnitude the per-lag matching error is reported absolutely.
@@ -39,8 +45,11 @@ def capon_spectrum(r_inv, spec: DimSpec, grid: SpectralGridSpec) -> SpectrumEsti
     matching the sample-stacking convention of the assembled matrix.
     The denominator depends on R^{-1} only through its sums B(t) along
     the index differences m(i) - m(j) = t (Musicus' fast minimum-variance
-    form): it is sum_t B(t) e^{+j w.t}, one inverse DFT of B wrapped onto
-    the grid as t mod C. Time O(q^2 + |G| log |G|), memory O(q^2 + |G|).
+    form): it is sum_t B(t) e^{+j w.t}, a partial DFT of the lag box
+    taken one axis at a time against that axis's phase table, which
+    reads t mod C exactly. On a grid that resolves the box the pass over
+    axis i costs at most |G| (2 gamma_i - 1) multiply-adds, so the time
+    is O(q^2 + sum_i |G| (2 gamma_i - 1)) and the memory O(q^2 + |G|).
     """
     a = np.asarray(r_inv, dtype=complex)
     if a.shape != (spec.q, spec.q):
@@ -49,12 +58,18 @@ def capon_spectrum(r_inv, spec: DimSpec, grid: SpectralGridSpec) -> SpectrumEsti
         raise DimensionMismatch(f"{grid.d}-d grid for a {spec.d}-d spec")
     box = tuple(2 * g - 1 for g in spec.gamma)
     gather = _lag_gather(spec.gamma, Nesting.identity(spec.d)).ravel()
-    sums = (np.bincount(gather, a.real.ravel(), math.prod(box))
-            + 1j * np.bincount(gather, a.imag.ravel(), math.prod(box)))
-    wrapped = np.zeros(grid.counts, dtype=complex)
-    np.add.at(wrapped, _wrap(spec.gamma, grid.counts), sums.reshape(box))
-    denominator = np.fft.ifftn(wrapped, norm="forward").real
-    return SpectrumEstimate(grid, 1.0 / denominator)
+    denominator = (np.bincount(gather, a.real.ravel(), math.prod(box))
+                   + 1j * np.bincount(gather, a.imag.ravel(), math.prod(box))).reshape(box)
+    for table in _box_phases(spec.gamma, grid.counts):
+        # contracts the leading lag axis and appends its frequency axis
+        denominator = np.tensordot(denominator, table, axes=(0, 1))
+    return SpectrumEstimate(grid, 1.0 / denominator.real)
+
+
+def _box_phases(gamma, counts) -> list[np.ndarray]:
+    """Per-axis (C_i, 2 gamma_i - 1) phase tables e^{+j w_m t} of the
+    centred lag box t = 1 - gamma_i .. gamma_i - 1 on the grid."""
+    return [_phases(count, np.arange(1 - g, g)) for g, count in zip(gamma, counts)]
 
 
 @dataclass(frozen=True)
@@ -104,8 +119,9 @@ def capon_cost(spec: DimSpec, grid: SpectralGridSpec) -> Fraction:
     """Minimum-variance count: q^2 times the full grid size.
 
     This counts the paper's direct evaluation, one quadratic form
-    a^H R^{-1} a per grid point. ``capon_spectrum`` does O(q^2 + |G| log |G|)
-    instead: one fold of R^{-1} into the lag box and one inverse FFT.
+    a^H R^{-1} a per grid point. ``capon_spectrum`` does
+    O(q^2 + sum_i |G| (2 gamma_i - 1)) instead: one fold of R^{-1} into
+    the lag box and one partial DFT pass per axis.
     """
     _check_cost_args(spec, grid)
     return Fraction(spec.q**2 * grid.size)
@@ -147,10 +163,12 @@ def correlation_match(s: SpectrumEstimate, c: CorrelationSignal) -> MatchReport:
     """Reconstruct every stored lag from the gridded spectrum.
 
     r_hat(t) is the grid mean of S(w) e^{-j w.t}, the discrete inverse of
-    the synthesis convention: one forward DFT of S read at cell t mod C.
-    Each lag reports |r_hat - r| / |r|, or the absolute difference when
-    |r| falls below the near-zero threshold. Warns when some axis has
-    fewer than 2 gamma_i - 1 points, where reconstructed lags alias.
+    the synthesis convention, which is the forward DFT of S at cell
+    t mod C. It is formed only on the lag box, by one partial DFT pass
+    per axis against the conjugate phase tables. Each lag reports
+    |r_hat - r| / |r|, or the absolute difference when |r| falls below
+    the near-zero threshold. Warns when some axis has fewer than
+    2 gamma_i - 1 points, where reconstructed lags alias.
     """
     if s.grid.d != c.d:
         raise DimensionMismatch(f"{s.grid.d}-d spectrum for a {c.d}-d signal")
@@ -162,9 +180,13 @@ def correlation_match(s: SpectrumEstimate, c: CorrelationSignal) -> MatchReport:
             AliasingWarning,
             stacklevel=2,
         )
-    reconstructed = _hermitian(
-        np.fft.fftn(s.power)[_wrap(c.gamma, s.grid.counts)] / s.grid.size
-    ).ravel()
+    tables = [table.conj() for table in _box_phases(c.gamma, s.grid.counts)]
+    # the real power meets the first table as one real GEMM, the table's
+    # (re, im) pairs read as two real columns per lag
+    box = np.tensordot(s.power, tables[0].view(float), axes=(0, 0)).view(complex)
+    for table in tables[1:]:
+        box = np.tensordot(box, table, axes=(0, 0))
+    reconstructed = _hermitian(box / s.grid.size).ravel()
     original = c.lags.ravel()
     magnitude = np.abs(original)
     near = magnitude < NEAR_ZERO_LAG

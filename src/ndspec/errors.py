@@ -32,17 +32,18 @@ class FileFormatError(NdspecError):
 class NotPositiveDefinite(NdspecError):
     """A Hermitian matrix failed its positive-definiteness check.
 
-    Carries the failing pivot index, the position ``index`` of the
-    failing matrix in a stack and, when raised from inside the sequential
-    sweep, the stage number and the processed-frequency grid indices
-    where the zero block broke down.
+    Carries the failing pivot index, its value and the ``floor`` it had to
+    exceed, the position ``index`` of the failing matrix in a stack and,
+    when raised from inside the sequential sweep, the stage number and the
+    processed-frequency grid indices where the zero block broke down.
     """
 
     def __init__(self, message, pivot_index=None, pivot_value=None,
-                 stage=None, frequency=None, index=None):
+                 stage=None, frequency=None, index=None, floor=None):
         super().__init__(message)
         self.pivot_index = pivot_index
         self.pivot_value = pivot_value
+        self.floor = floor
         self.index = index
         self.stage = stage
         self.frequency = frequency
@@ -56,4 +57,15 @@ class NotPositiveDefinite(NdspecError):
             pivot_value=self.pivot_value,
             stage=stage,
             frequency=frequency,
+            floor=self.floor,
         )
+
+    def _scaled(self, k):
+        """This refusal of a pivot check, with a pivot value and floor, as it
+        reads for the matrix times 4^k: both values times 4^k, exact unless
+        they over- or underflow."""
+        value, floor = (v * 2.0**k * 2.0**k for v in (self.pivot_value, self.floor))
+        out = NotPositiveDefinite(f"pivot {self.pivot_index} is {value:.6g} (floor {floor:.6g})",
+                                  pivot_index=self.pivot_index, pivot_value=value,
+                                  index=self.index, floor=floor)
+        return out if self.stage is None else out.tagged(self.stage, self.frequency)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .correlation import CorrelationSignal, _lag_gather, assemble
 from .errors import DimensionMismatch, NotPositiveDefinite, SizeMismatch
-from .grid import SpectralGridSpec, SpectrumEstimate
+from .grid import SpectralGridSpec, SpectrumEstimate, _phases
 from .indexing import DimSpec, Nesting, apply_walking, walking_map
 from .linalg import PD_PIVOT_REL, _cholesky, invert_pd, one_blas_thread
 
@@ -176,8 +176,7 @@ def stage_update(field: StageField, grid: SpectralGridSpec) -> StageField:
     points = len(g0_inv)
     # row k holds G(k) at every point: one copy per stage, not per chunk
     flat = np.moveaxis(field.blocks, -3, 0).reshape(n_blocks, -1)
-    m = np.arange(count)
-    phases = np.exp(2j * np.pi / count * m)[np.outer(m, np.arange(n_blocks)) % count]
+    phases = _phases(count, np.arange(n_blocks))
     out = np.empty(field.counts + (count, h, new_h), dtype=complex)
     by_frequency = out.reshape(points, count, h, new_h).swapaxes(0, 1)
     step = -(-count // 8)  # temporaries of a few eighths of ``out``
@@ -261,7 +260,7 @@ def _first_block_column(c: CorrelationSignal) -> np.ndarray:
             pivot = n * h + exc.pivot_index
             raise NotPositiveDefinite(
                 f"pivot {pivot} is {exc.pivot_value:.6g} (floor {floor:.6g})",
-                pivot_index=pivot, pivot_value=exc.pivot_value,
+                pivot_index=pivot, pivot_value=exc.pivot_value, floor=exc.floor,
             ).tagged(1, ()) from exc
         if n == g - 1:
             break
@@ -314,17 +313,33 @@ def sequential_spectrum(c: CorrelationSignal, grid: SpectralGridSpec,
     assembled and inverted densely under the identity and the reversed
     nesting; the reversed inverse is walked back and both must agree with
     the recursion.
+
+    All of it runs on the lags times 4^-k, with 2k the even part of the
+    binary exponent of c(0), so the scaled c(0) lies in [1/2, 2) and no
+    step under- or overflows whatever the signal's scale; the power is
+    then multiplied by 4^k. An even power of two scales every Cholesky
+    factor by an exact power of two too, so the spectrum is bit for bit
+    the unscaled arithmetic's wherever that stays in range. Refusals
+    report their pivot values and floors in the signal's own units.
     """
     spec = DimSpec(c.gamma)
     if grid.d != spec.d:
         raise DimensionMismatch(f"{grid.d}-d grid for a {spec.d}-d signal")
-    blocks = _first_block_column(c)
-    if cross_check_walking:
-        _cross_check(c, blocks)
+    k = int(np.frexp(c.zero_lag)[1]) // 2
+    unit = CorrelationSignal(c.gamma, np.ldexp(c.lags.view(float), -2 * k).view(complex))
+    try:
+        blocks = _first_block_column(unit)
+        if cross_check_walking:
+            _cross_check(unit, blocks)
+    except NotPositiveDefinite as exc:  # pivots of the matrix times 4^-k
+        raise exc._scaled(k) from exc
     field = StageField(spec, 1, blocks)
-    for _ in range(spec.d):
-        field = stage_update(field, grid)
+    try:
+        for _ in range(spec.d):
+            field = stage_update(field, grid)
+    except NotPositiveDefinite as exc:  # pivots of the inverse times 4^k
+        raise exc._scaled(-k) from exc
     # leading axes run over dimensions d-1..0; reorder to m_0..m_{d-1}
     scalars = field.blocks[..., 0, 0, 0].real
     power = 1.0 / np.transpose(scalars, axes=tuple(reversed(range(spec.d))))
-    return SpectrumEstimate(grid, power)
+    return SpectrumEstimate(grid, np.ldexp(power, 2 * k))

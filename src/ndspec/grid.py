@@ -56,3 +56,16 @@ class SpectrumEstimate:
             )
         if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
             raise ValueError("power values must be finite and strictly positive")
+
+
+def _phases(count: int, lags) -> np.ndarray:
+    """(count, len(lags)) table of e^{+j 2 pi m t / count}, m = 0..count-1.
+
+    m t is reduced to whole turns, mod count, before the lookup, so every
+    entry is one of the count roots of unity as computed once and the
+    table is exactly periodic in t: lags at or beyond the grid alias onto
+    the same column values. Every transform between a lag box and a grid
+    reads its phases from here.
+    """
+    m = np.arange(count)
+    return np.exp(2j * np.pi / count * m)[np.outer(m, lags) % count]

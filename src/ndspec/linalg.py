@@ -107,7 +107,7 @@ def _factor_one(a: np.ndarray, floor: float, index: tuple[int, ...]) -> np.ndarr
         return lower
     raise NotPositiveDefinite(
         f"pivot {k} is {value:.6g} (floor {floor:.6g})",
-        pivot_index=k, pivot_value=value, index=index,
+        pivot_index=k, pivot_value=value, index=index, floor=floor,
     )
 
 
