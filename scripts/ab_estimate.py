@@ -1,26 +1,35 @@
 #!/usr/bin/env python3
-"""Interleaved A/B timing of ``sequential_spectrum`` between two source trees.
+"""Interleaved A/B timing of one ndspec operation between two source trees.
 
 Usage, from the repository root:
 
     python3 scripts/ab_estimate.py BASE_ROOT [--change-root .]
-        [--workload cube wide plane] [--seed 7 2026] [--pairs 200] [--toy]
+        [--op estimate|capon|match] [--workload cube wide plane]
+        [--seed 7 2026] [--pairs 200] [--toy]
 
 BASE_ROOT and the change root are checkouts of this repository. Their
 ``src/ndspec`` trees are imported side by side as ``ndspec_base`` and
 ``ndspec_change``; the inputs come from the benchmark's
-``bench/workloads.py``, built once per tree from the same seed. Calls of
-the two trees alternate, and which goes first alternates too. For each
-workload and seed it prints each side's median and quartiles in ms, the
-pairs the change won, and the largest relative difference of the two
-spectra at the cells below 1e9 times the base's median and, separately,
-at the line cells above it, whose last digits no evaluation order keeps.
+``bench/workloads.py``, built once per tree from the same seed. The
+operations are the benchmark's: ``estimate`` is ``sequential_spectrum``
+(the default), ``capon`` is ``assemble`` + ``invert_pd`` +
+``capon_spectrum``, and ``match`` is ``correlation_match`` of the tree's
+own sequential spectrum. Calls of the two trees alternate, which goes
+first alternates too, and a garbage collection runs before each call, as
+in the benchmark. For each workload and seed it prints each side's
+median and quartiles in ms, the pairs the change won, and the largest
+relative difference of the two outputs: for ``estimate`` at the cells
+below 1e9 times the base's median and, separately, at the line cells
+above it, whose last digits no evaluation order keeps; for ``capon``
+over the Capon spectrum; for ``match`` over the reconstructed lags.
 """
 
 import argparse
+import gc
 import importlib.util
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -42,38 +51,56 @@ def import_tree(root: Path, name: str):
     return module
 
 
-def timed(nd, inputs):
+def operation(nd, inputs, op):
+    """The timed call of ``op`` on one tree, returning the array compared."""
+    if op == "estimate":
+        return lambda: nd.sequential_spectrum(inputs.signal, inputs.grid).power
+    if op == "capon":
+        spec = nd.DimSpec(inputs.signal.gamma)
+        return lambda: nd.capon_spectrum(nd.invert_pd(nd.assemble(inputs.signal).entries),
+                                         spec, inputs.grid).power
+    spectrum = nd.sequential_spectrum(inputs.signal, inputs.grid)
+    return lambda: nd.correlation_match(spectrum, inputs.signal).per_lag.reconstructed
+
+
+def timed(call):
+    gc.collect()
     started = time.perf_counter()
-    estimate = nd.sequential_spectrum(inputs.signal, inputs.grid)
-    return time.perf_counter() - started, estimate.power
+    out = call()
+    return time.perf_counter() - started, out
 
 
 def quartiles_ms(samples):
     return tuple(1e3 * v for v in np.percentile(samples, [25, 50, 75]))
 
 
-def compare(trees, workloads, name, seed, pairs, toy):
+def compare(trees, workloads, op, name, seed, pairs, toy):
     """One workload and seed: the report lines."""
     inputs = [workloads.build(nd, name, seed, toy) for nd in trees]
-    powers = [timed(nd, inp)[1] for nd, inp in zip(trees, inputs)]  # warm-up
+    calls = [operation(nd, inp, op) for nd, inp in zip(trees, inputs)]
+    outputs = [timed(call)[1] for call in calls]  # warm-up
     times = ([], [])
     for i in range(pairs):
         for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-            times[side].append(timed(trees[side], inputs[side])[0])
+            times[side].append(timed(calls[side])[0])
     base, change = (np.array(t) for t in times)
     won = int(np.sum(change < base))
     (bq1, bmed, bq3), (cq1, cmed, cq3) = quartiles_ms(base), quartiles_ms(change)
     lines = [f"{name} seed {seed}: base {bmed:.3f} ms [{bq1:.3f}, {bq3:.3f}], "
              f"change {cmed:.3f} ms [{cq1:.3f}, {cq3:.3f}], "
              f"change won {won}/{pairs} pairs, {bmed / cmed:.3f}x"]
-    ref, new = powers
-    rel = np.abs(new - ref) / ref
+    ref, new = outputs
+    rel = np.abs(new - ref) / np.abs(ref)
+    if op != "estimate":
+        label = "Capon cells" if op == "capon" else "reconstructed lags"
+        lines.append(f"  max relative difference over {rel.size} {label}: {float(rel.max()):.3g}")
+        return lines
     regular = ref < LINE_CELL_RATIO * np.median(ref)
     for label, mask in (("cells < 1e9 x median", regular), ("line cells", ~regular)):
         if mask.any():
             lines.append(f"  max relative difference at {int(mask.sum())} {label}: "
                          f"{float(rel[mask].max()):.3g}")
-    for side, (inp, power) in enumerate(zip(inputs, powers)):
+    for side, (inp, power) in enumerate(zip(inputs, outputs)):
         failure = inp.check(power)
         if failure:
             lines.append(f"  {('base', 'change')[side]} output check failed: {failure}")
@@ -86,6 +113,7 @@ def main():
     parser.add_argument("base_root", type=Path, help="checkout of the base tree")
     parser.add_argument("--change-root", type=Path, default=ROOT,
                         help="checkout of the changed tree (default: this one)")
+    parser.add_argument("--op", choices=("estimate", "capon", "match"), default="estimate")
     parser.add_argument("--workload", nargs="+", default=["cube", "wide", "plane"])
     parser.add_argument("--seed", type=int, nargs="+", default=[7])
     parser.add_argument("--pairs", type=int, default=200)
@@ -97,10 +125,12 @@ def main():
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads  # the benchmark's inputs, read as they are
 
+    for nd in trees:  # expected where the grid is coarser than the lag box (wide)
+        warnings.simplefilter("ignore", nd.AliasingWarning)
     for name in args.workload:
         for seed in args.seed:
-            print("\n".join(compare(trees, workloads, name, seed, args.pairs, args.toy)),
-                  flush=True)
+            print("\n".join(compare(trees, workloads, args.op, name, seed, args.pairs,
+                                     args.toy)), flush=True)
     return 0
 
 

@@ -314,18 +314,19 @@ def sequential_spectrum(c: CorrelationSignal, grid: SpectralGridSpec,
     nesting; the reversed inverse is walked back and both must agree with
     the recursion.
 
-    All of it runs on the lags times 4^-k, with 2k the even part of the
-    binary exponent of c(0), so the scaled c(0) lies in [1/2, 2) and no
-    step under- or overflows whatever the signal's scale; the power is
-    then multiplied by 4^k. An even power of two scales every Cholesky
-    factor by an exact power of two too, so the spectrum is bit for bit
-    the unscaled arithmetic's wherever that stays in range. Refusals
-    report their pivot values and floors in the signal's own units.
+    All of it runs on the lags times 4^-k, with 2k the binary exponent of
+    the largest real or imaginary part of a lag (c(0) for a positive
+    definite signal) made even, so that part lands in [1/2, 2) and no step under- or
+    overflows whatever the signal's scale; the power is then multiplied
+    by 4^k. An even power of two scales every Cholesky factor by an exact
+    power of two too, so the spectrum is bit for bit the unscaled
+    arithmetic's wherever that stays in range. Refusals report their
+    pivot values and floors in the signal's own units.
     """
     spec = DimSpec(c.gamma)
     if grid.d != spec.d:
         raise DimensionMismatch(f"{grid.d}-d grid for a {spec.d}-d signal")
-    k = int(np.frexp(c.zero_lag)[1]) // 2
+    k = int(np.frexp(np.max(np.abs(c.lags.view(float))))[1]) // 2
     unit = CorrelationSignal(c.gamma, np.ldexp(c.lags.view(float), -2 * k).view(complex))
     try:
         blocks = _first_block_column(unit)
@@ -341,5 +342,6 @@ def sequential_spectrum(c: CorrelationSignal, grid: SpectralGridSpec,
         raise exc._scaled(-k) from exc
     # leading axes run over dimensions d-1..0; reorder to m_0..m_{d-1}
     scalars = field.blocks[..., 0, 0, 0].real
-    power = 1.0 / np.transpose(scalars, axes=tuple(reversed(range(spec.d))))
-    return SpectrumEstimate(grid, np.ldexp(power, 2 * k))
+    power = 2.0**k / np.transpose(scalars, axes=tuple(reversed(range(spec.d))))
+    power *= 2.0**k  # 4^k in two exact steps, as 4.0**k overflows for large |k|
+    return SpectrumEstimate(grid, power)
