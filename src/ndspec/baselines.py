@@ -10,9 +10,12 @@ the grid by separable partial DFTs: one axis at a time against a
 (C_i, 2 gamma_i - 1) table of phases, so only the box's lags are
 formed or read, never a full-grid FFT. On a grid that resolves the
 box a pass costs at most |G| (2 gamma_i - 1) complex multiply-adds,
-against about 5 |G| log2 |G| flops for an FFT of the grid. Lag matching reads every stored lag back from a
-gridded spectrum and reports the whole lag box as one read-only record
-array.
+8 |G| (2 gamma_i - 1) flops as one GEMM, against about 5 |G| log2 |G|
+flops for an FFT of the grid. Like the sweep, both run on one BLAS
+thread: their GEMMs are small, and a second thread sharing a core with
+other work made them up to tens of times slower. Lag
+matching reads every stored lag back from a gridded spectrum and
+reports the whole lag box as one read-only record array.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .correlation import CorrelationSignal, _hermitian, _lag_gather
 from .errors import DimensionMismatch, SizeMismatch
 from .grid import SpectralGridSpec, SpectrumEstimate, _phases
 from .indexing import DimSpec, Nesting
+from .linalg import one_blas_thread
 
 # Below this magnitude the per-lag matching error is reported absolutely.
 NEAR_ZERO_LAG = 1e-12
@@ -37,6 +41,7 @@ class AliasingWarning(UserWarning):
     """The spectral grid is too coarse to resolve every stored lag."""
 
 
+@one_blas_thread
 def capon_spectrum(r_inv, spec: DimSpec, grid: SpectralGridSpec) -> SpectrumEstimate:
     """Minimum-variance spectrum S(w) = 1 / (a(w)^H R^{-1} a(w)).
 
@@ -181,11 +186,12 @@ def correlation_match(s: SpectrumEstimate, c: CorrelationSignal) -> MatchReport:
             stacklevel=2,
         )
     tables = [table.conj() for table in _box_phases(c.gamma, s.grid.counts)]
-    # the real power meets the first table as one real GEMM, the table's
-    # (re, im) pairs read as two real columns per lag
-    box = np.tensordot(s.power, tables[0].view(float), axes=(0, 0)).view(complex)
-    for table in tables[1:]:
-        box = np.tensordot(box, table, axes=(0, 0))
+    with one_blas_thread:
+        # the real power meets the first table as one real GEMM, the table's
+        # (re, im) pairs read as two real columns per lag
+        box = np.tensordot(s.power, tables[0].view(float), axes=(0, 0)).view(complex)
+        for table in tables[1:]:
+            box = np.tensordot(box, table, axes=(0, 0))
     reconstructed = _hermitian(box / s.grid.size).ravel()
     original = c.lags.ravel()
     magnitude = np.abs(original)

@@ -585,6 +585,61 @@ class TestSequentialSpectrum:
                          / (alpha * base.power))
             assert rel < 1e-12
 
+    def test_powers_of_four_scale_the_spectrum_exactly(self):
+        c = random_correlation(np.random.default_rng(12), (2, 3, 2))
+        grid = SpectralGridSpec((4, 5, 3))
+        base = sequential_spectrum(c, grid).power
+        for factor in (4.0**100, 4.0**-100):
+            scaled = sequential_spectrum(CorrelationSignal(c.gamma, c.lags * factor), grid)
+            assert np.array_equal(scaled.power, base * factor)
+
+    @pytest.mark.parametrize("forward", [[5e-324], [1e-310, 5e-311], [1e300, 5e299]])
+    def test_extreme_scales_give_the_ar_spectrum(self, forward):
+        # c(0) at the ends of the double range: the recursion's inverse once
+        # overflowed below about 1e-308; warnings are errors in this suite
+        grid = SpectralGridSpec((8,))
+        s = sequential_spectrum(CorrelationSignal.from_forward_lags(forward), grid)
+        c0 = forward[0]
+        sigma = -forward[1] / c0 if len(forward) > 1 else 0.0
+        w = grid.angular(0)
+        expected = c0 * (1 - sigma**2) / np.abs(1 + sigma * np.exp(1j * w)) ** 2
+        np.testing.assert_allclose(s.power, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("factor", [1.0, 4.0**200, 4.0**-200])
+    def test_refusals_report_the_signal_units(self, factor):
+        c = CorrelationSignal.from_forward_lags(np.array([3.0, 2.9, 2.5, 1.0]) * factor)
+        with pytest.raises(NotPositiveDefinite) as info:
+            sequential_spectrum(c, SpectralGridSpec((4,)))
+        dense = _pivot_refused(lambda: invert_pd(assemble(c).entries))
+        assert info.value.pivot_index == dense.pivot_index == 2
+        assert info.value.pivot_value == pytest.approx(dense.pivot_value, rel=1e-12)
+        assert info.value.pivot_value == pytest.approx(-0.2711864406779711 * factor, rel=1e-12)
+        assert info.value.floor == 1e-12 * c.zero_lag
+        assert str(info.value).startswith(
+            f"pivot 2 is {info.value.pivot_value:.6g} (floor {info.value.floor:.6g}) [stage 1")
+
+    def test_stage_refusals_report_the_inverse_units(self, monkeypatch):
+        # a stage refuses in the units of the inverse, so its pivot value
+        # moves against the signal's scale
+        def refuse(field, grid):
+            value = float(field.blocks[(0,) * field.blocks.ndim].real)
+            raise NotPositiveDefinite("pivot 0 is -", pivot_index=0, pivot_value=-value,
+                                      floor=1e-12 * value).tagged(2, (1,))
+
+        monkeypatch.setattr(estimator, "stage_update", refuse)
+        c = random_correlation(np.random.default_rng(13), (2, 2))
+        errors = []
+        for factor in (1.0, 4.0**-150):
+            scaled = CorrelationSignal(c.gamma, c.lags * factor)
+            with pytest.raises(NotPositiveDefinite) as info:
+                sequential_spectrum(scaled, SpectralGridSpec((3, 3)))
+            errors.append(info.value)
+        assert errors[1].pivot_value == errors[0].pivot_value * 4.0**150
+        assert errors[1].floor == errors[0].floor * 4.0**150
+        assert (errors[1].stage, errors[1].frequency) == (2, (1,))
+        assert str(errors[1]) == (f"pivot 0 is {errors[1].pivot_value:.6g} "
+                                  f"(floor {errors[1].floor:.6g}) [stage 2, grid indices (1,)]")
+
     def test_grid_dimension_mismatch(self):
         c = CorrelationSignal.from_forward_lags([1.0, 0.5])
         with pytest.raises(DimensionMismatch):

@@ -6,7 +6,17 @@ import pytest
 import scipy
 
 from conftest import random_correlation, random_pd_matrix
-from ndspec import SpectralGridSpec, estimator, invert_pd, linalg, sequential_spectrum
+from ndspec import (
+    DimSpec,
+    SpectralGridSpec,
+    assemble,
+    capon_spectrum,
+    correlation_match,
+    estimator,
+    invert_pd,
+    linalg,
+    sequential_spectrum,
+)
 from ndspec.errors import NotPositiveDefinite, SizeMismatch
 from ndspec.linalg import cholesky
 
@@ -318,6 +328,26 @@ class TestOneBlasThread:
             "factor": 3 + 1, "inverse": 3, "fourier sum": 5 + 4}
         assert set(sum(seen.values(), [])) == {1}
         assert get() == before
+
+    def test_lag_box_transforms_run_on_one_thread(self, monkeypatch):
+        get = self.openblas_get("numpy", getattr(np.__config__, "CONFIG", {}))
+        contract, seen = np.tensordot, []
+        monkeypatch.setattr(np, "tensordot",
+                            lambda *args, **kwargs: seen.append(get()) or contract(*args, **kwargs))
+        gamma, grid = (2, 3), SpectralGridSpec((4, 5))
+        c = random_correlation(np.random.default_rng(18), gamma)
+        original = [(put, get()) for get, put in linalg._openblas_threads()]
+        try:
+            for put, _ in original:
+                put(2)
+            capon_spectrum(invert_pd(assemble(c).entries), DimSpec(gamma), grid)
+            correlation_match(sequential_spectrum(c, grid), c)
+            assert get() == 2
+        finally:
+            for put, count in original:
+                put(count)
+        # one partial DFT pass per axis in each
+        assert seen == [1] * 4
 
     def test_single_inverse_pins_both_libraries(self, monkeypatch):
         get_numpy = self.openblas_get("numpy", getattr(np.__config__, "CONFIG", {}))
