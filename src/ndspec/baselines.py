@@ -13,8 +13,9 @@ box a pass costs at most |G| (2 gamma_i - 1) complex multiply-adds,
 8 |G| (2 gamma_i - 1) flops as one GEMM, against about 5 |G| log2 |G|
 flops for an FFT of the grid. Like the sweep, both run on one BLAS
 thread: their GEMMs are small, and a second thread sharing a core with
-other work made them up to tens of times slower. Lag
-matching reads every stored lag back from a gridded spectrum and
+other work made them up to tens of times slower.
+
+Lag matching reads every stored lag back from a gridded spectrum and
 reports the whole lag box as one read-only record array.
 """
 

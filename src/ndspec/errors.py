@@ -61,9 +61,9 @@ class NotPositiveDefinite(NdspecError):
         )
 
     def _scaled(self, k):
-        """This refusal of a pivot check, with a pivot value and floor, as it
-        reads for the matrix times 4^k: both values times 4^k, exact unless
-        they over- or underflow."""
+        """The same pivot refusal for the matrix times 4^k: pivot value and
+        floor times 4^k, exactly unless they over- or underflow, and the
+        message rebuilt to match."""
         value, floor = (v * 2.0**k * 2.0**k for v in (self.pivot_value, self.floor))
         out = NotPositiveDefinite(f"pivot {self.pivot_index} is {value:.6g} (floor {floor:.6g})",
                                   pivot_index=self.pivot_index, pivot_value=value,

@@ -316,12 +316,12 @@ def sequential_spectrum(c: CorrelationSignal, grid: SpectralGridSpec,
 
     All of it runs on the lags times 4^-k, with 2k the binary exponent of
     the largest real or imaginary part of a lag (c(0) for a positive
-    definite signal) made even, so that part lands in [1/2, 2) and no step under- or
-    overflows whatever the signal's scale; the power is then multiplied
-    by 4^k. An even power of two scales every Cholesky factor by an exact
-    power of two too, so the spectrum is bit for bit the unscaled
-    arithmetic's wherever that stays in range. Refusals report their
-    pivot values and floors in the signal's own units.
+    definite signal) made even. That part lands in [1/2, 2), so no step
+    under- or overflows whatever the signal's scale, and the power is
+    then multiplied by 4^k. An even power of two scales every Cholesky
+    factor by an exact power of two too, so the spectrum is bit for bit
+    the unscaled arithmetic's wherever that stays in range. Refusals
+    report their pivot values and floors in the signal's own units.
     """
     spec = DimSpec(c.gamma)
     if grid.d != spec.d:

@@ -23,6 +23,7 @@ from ndspec import (
 )
 from ndspec import estimator
 from ndspec.errors import DimensionMismatch, NotPositiveDefinite, SizeMismatch
+from ndspec.grid import _phases
 from ndspec.estimator import (
     StageField,
     _first_block_column,
@@ -214,6 +215,15 @@ class TestFourierBlockSum:
 
 
 class TestStageUpdate:
+    @pytest.mark.parametrize("count, n_blocks", [(1, 1), (1, 4), (2, 3), (5, 3), (7, 7),
+                                                 (8, 10), (32, 4), (256, 16)])
+    def test_phase_table_is_the_sweeps_expression(self, count, n_blocks):
+        # the sweep's spectra stay bit for bit what they were before the
+        # phases moved into one helper shared with Capon and matching
+        m = np.arange(count)
+        inline = np.exp(2j * np.pi / count * m)[np.outer(m, np.arange(n_blocks)) % count]
+        assert np.array_equal(_phases(count, np.arange(n_blocks)), inline)
+
     def test_1d_final_stage_holds_spectral_inverse(self):
         c = CorrelationSignal.from_forward_lags([1.0, 0.5])
         res = levinson_1d(c)
