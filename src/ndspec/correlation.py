@@ -99,6 +99,18 @@ class CorrelationSignal:
             raise ValueError("scale must be > 0")
         return CorrelationSignal(self.gamma, self.lags * alpha)
 
+    def _times_power_of_two(self, exponent: int) -> "CorrelationSignal":
+        """Copy with the real and imaginary part of every lag times
+        2^exponent by an exact ldexp. The caller keeps the largest part
+        finite; the checks of the constructor, which an exact scaling
+        leaves as they were, are not run again."""
+        lags = np.ldexp(self.lags.view(float), exponent).view(complex)
+        lags.flags.writeable = False
+        out = object.__new__(CorrelationSignal)
+        object.__setattr__(out, "gamma", self.gamma)
+        object.__setattr__(out, "lags", lags)
+        return out
+
     @classmethod
     def from_forward_lags(cls, values) -> "CorrelationSignal":
         """1D signal from the values at lags 0..gamma-1; the negative half

@@ -327,7 +327,7 @@ def sequential_spectrum(c: CorrelationSignal, grid: SpectralGridSpec,
     if grid.d != spec.d:
         raise DimensionMismatch(f"{grid.d}-d grid for a {spec.d}-d signal")
     k = int(np.frexp(np.max(np.abs(c.lags.view(float))))[1]) // 2
-    unit = CorrelationSignal(c.gamma, np.ldexp(c.lags.view(float), -2 * k).view(complex))
+    unit = c._times_power_of_two(-2 * k)
     try:
         blocks = _first_block_column(unit)
         if cross_check_walking:
