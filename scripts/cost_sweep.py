@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from ndspec import DimSpec, SpectralGridSpec, capon_cost, sequential_cost
+from ndspec import DimSpec, SpectralGridSpec, cost_report
 from ndspec.cli import main as cli_main
 
 
@@ -33,8 +33,8 @@ def main():
     cmin, cmax, step = (int(tok) for tok in args.sweep.split(":"))
     wins = {}
     for count in range(cmin, cmax + 1, step):
-        grid = SpectralGridSpec((count,) * args.dims)
-        wins[count] = sequential_cost(spec, grid) < capon_cost(spec, grid)
+        report = cost_report(spec, SpectralGridSpec((count,) * args.dims))
+        wins[count] = report.sequential_total < report.capon_total
     crossover = next((count for count, win in wins.items() if win), None)
     print(f"wrote {out}")
     if crossover is None:

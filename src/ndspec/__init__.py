@@ -6,12 +6,9 @@ from .baselines import (
     AliasingWarning,
     CostReport,
     MatchReport,
-    capon_cost,
     capon_spectrum,
     correlation_match,
     cost_report,
-    sequential_cost,
-    sequential_stage_costs,
 )
 from .correlation import (
     CorrelationSignal,
@@ -73,7 +70,6 @@ __all__ = [
     "apply_walking",
     "ar_spectrum_1d",
     "assemble",
-    "capon_cost",
     "capon_spectrum",
     "correlation_match",
     "cost_report",
@@ -84,9 +80,7 @@ __all__ = [
     "load_ndcorr",
     "ndcorr_lines",
     "save_ndcorr",
-    "sequential_cost",
     "sequential_spectrum",
-    "sequential_stage_costs",
     "synth_correlation",
     "walking_map",
 ]

@@ -116,11 +116,6 @@ def sequential_stage_costs(spec: DimSpec, grid: SpectralGridSpec) -> tuple[tuple
     return tuple(out)
 
 
-def sequential_cost(spec: DimSpec, grid: SpectralGridSpec) -> Fraction:
-    """Total sequential count: the sum of the per-stage terms."""
-    return sum((ops for _, ops in sequential_stage_costs(spec, grid)), Fraction(0))
-
-
 def capon_cost(spec: DimSpec, grid: SpectralGridSpec) -> Fraction:
     """Minimum-variance count: q^2 times the full grid size.
 
@@ -134,6 +129,8 @@ def capon_cost(spec: DimSpec, grid: SpectralGridSpec) -> Fraction:
 
 
 def cost_report(spec: DimSpec, grid: SpectralGridSpec) -> CostReport:
+    """Both methods' counts on one configuration: the sequential per-stage
+    terms and their sum, and the minimum-variance total."""
     per_stage = sequential_stage_costs(spec, grid)
     return CostReport(
         gamma=spec.gamma,

@@ -35,7 +35,7 @@ from .estimator import sequential_spectrum
 from .grid import SpectralGridSpec, SpectrumEstimate
 from .indexing import DimSpec
 from .linalg import invert_pd
-from .textio import _csv_rows, _fmt, _lag_prefixes, _parse_rows, _prefixes, _read_table
+from .textio import _csv_rows, _lag_prefixes, _parse_rows, _prefixes, _read_table, _write_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -69,45 +69,30 @@ def _peak(text: str) -> tuple[tuple[float, ...], float]:
     return freqs, power
 
 
-def _plane(text: str) -> tuple[int, float, float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected axis:f:power, got {text!r}")
-    try:
-        return int(parts[0]), float(parts[1]), float(parts[2])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected axis:f:power, got {text!r}")
+def _fields(form: str, sep: str, *types):
+    """argparse type of ``len(types)`` fields joined by ``sep``, each
+    converted by its type; ``form`` names them in the complaint."""
+    def parse(text: str) -> tuple:
+        parts = text.split(sep)
+        try:
+            if len(parts) == len(types):
+                return tuple(convert(part) for convert, part in zip(types, parts))
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+    return parse
+
+
+_plane = _fields("axis:f:power", ":", int, float, float)
+_fix = _fields("axis=index", "=", int, int)
+_sweep_fields = _fields("cmin:cmax:step", ":", int, int, int)
 
 
 def _sweep(text: str) -> tuple[int, int, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected cmin:cmax:step, got {text!r}")
-    try:
-        cmin, cmax, step = (int(tok) for tok in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected cmin:cmax:step, got {text!r}")
+    cmin, cmax, step = _sweep_fields(text)
     if cmin < 1 or cmax < cmin or step < 1:
         raise argparse.ArgumentTypeError(f"need 1 <= cmin <= cmax and step >= 1, got {text!r}")
     return cmin, cmax, step
-
-
-def _fix(text: str) -> tuple[int, int]:
-    parts = text.split("=")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected axis=index, got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected axis=index, got {text!r}")
-
-
-def _write_lines(path, lines) -> None:
-    if path is None:
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def _load_spectrum_csv(path) -> SpectrumEstimate:
@@ -163,7 +148,7 @@ def _spectrum_lines(s: SpectrumEstimate) -> list[str]:
 def _fraction_str(value) -> str:
     if value.denominator == 1:
         return str(value.numerator)
-    return _fmt(float(value))
+    return _csv_rows([[value]])[0]
 
 
 def cmd_gen(args) -> int:
@@ -196,9 +181,16 @@ def cmd_estimate(args) -> int:
     if args.method == "sequential":
         spectrum = sequential_spectrum(signal, grid)
     else:
-        spec = DimSpec(signal.gamma)
-        r_inv = invert_pd(assemble(signal).entries)
-        spectrum = capon_spectrum(r_inv, spec, grid)
+        # on the unit-scale signal, as the sequential estimator runs: the
+        # inverse of a signal near either end of the double range over- or
+        # underflows, and an exact power of four changes no other bit
+        k, unit = signal._unit_scaled()
+        try:
+            r_inv = invert_pd(assemble(unit).entries)
+        except NotPositiveDefinite as exc:
+            raise exc._scaled(k) from exc
+        power = capon_spectrum(r_inv, DimSpec(signal.gamma), grid).power
+        spectrum = SpectrumEstimate(grid, power * 2.0**k * 2.0**k)
     _write_lines(args.out, _spectrum_lines(spectrum))
     return EXIT_OK
 
@@ -318,10 +310,7 @@ def main(argv=None) -> int:
     except NotPositiveDefinite as exc:
         print(f"ndspec {args.command}: not positive definite: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (FileFormatError, DimensionMismatch) as exc:
-        print(f"ndspec {args.command}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (FileFormatError, DimensionMismatch, OSError) as exc:
         print(f"ndspec {args.command}: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, FileFormatError, InsufficientData
 from .indexing import DimSpec, Nesting, digits
-from .textio import _csv_rows, _lag_prefixes, _parse_rows, _read_table
+from .textio import _csv_rows, _lag_prefixes, _parse_rows, _read_table, _write_lines
 
 # Loader / constructor tolerance for Hermitian symmetry, relative to the
 # largest lag magnitude.
@@ -99,17 +99,21 @@ class CorrelationSignal:
             raise ValueError("scale must be > 0")
         return CorrelationSignal(self.gamma, self.lags * alpha)
 
-    def _times_power_of_two(self, exponent: int) -> "CorrelationSignal":
-        """Copy with the real and imaginary part of every lag times
-        2^exponent by an exact ldexp. The caller keeps the largest part
-        finite; the checks of the constructor, which an exact scaling
-        leaves as they were, are not run again."""
-        lags = np.ldexp(self.lags.view(float), exponent).view(complex)
+    def _unit_scaled(self) -> tuple[int, "CorrelationSignal"]:
+        """(k, copy of the signal times 4^-k), with 2k the binary exponent
+        of the largest real or imaginary part of a lag (c(0) for a positive
+        definite signal) made even. That part lands in [1/2, 2), so the
+        estimators' arithmetic on the copy neither under- nor overflows;
+        their power is the copy's times 4^k. Every lag is scaled by an
+        exact ldexp, so the checks of the constructor, which it leaves as
+        they were, are not run again."""
+        k = int(np.frexp(np.max(np.abs(self.lags.view(float))))[1]) // 2
+        lags = np.ldexp(self.lags.view(float), -2 * k).view(complex)
         lags.flags.writeable = False
         out = object.__new__(CorrelationSignal)
         object.__setattr__(out, "gamma", self.gamma)
         object.__setattr__(out, "lags", lags)
-        return out
+        return k, out
 
     @classmethod
     def from_forward_lags(cls, values) -> "CorrelationSignal":
@@ -308,8 +312,7 @@ def ndcorr_lines(c: CorrelationSignal) -> list[str]:
 
 def save_ndcorr(c: CorrelationSignal, path) -> None:
     """Write the ``ndcorr 1`` text format to a file."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(ndcorr_lines(c)) + "\n")
+    _write_lines(path, ndcorr_lines(c))
 
 
 def load_ndcorr(path) -> CorrelationSignal:

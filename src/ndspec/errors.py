@@ -1,5 +1,9 @@
 """Exception types shared across the package."""
 
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+
 
 class NdspecError(Exception):
     """Base class for all errors raised by this package."""
@@ -29,6 +33,7 @@ class FileFormatError(NdspecError):
     """A correlation or spectrum file failed to parse or validate."""
 
 
+@dataclass(eq=False)
 class NotPositiveDefinite(NdspecError):
     """A Hermitian matrix failed its positive-definiteness check.
 
@@ -36,36 +41,34 @@ class NotPositiveDefinite(NdspecError):
     exceed, the position ``index`` of the failing matrix in a stack and,
     when raised from inside the sequential sweep, the stage number and the
     processed-frequency grid indices where the zero block broke down.
+
+    A pivot refusal has no ``message``: its text is formatted from these
+    fields, so a copy with some of them replaced reads right.
     """
 
-    def __init__(self, message, pivot_index=None, pivot_value=None,
-                 stage=None, frequency=None, index=None, floor=None):
-        super().__init__(message)
-        self.pivot_index = pivot_index
-        self.pivot_value = pivot_value
-        self.floor = floor
-        self.index = index
-        self.stage = stage
-        self.frequency = frequency
+    message: str | None = None
+    pivot_index: int | None = None
+    pivot_value: float | None = None
+    stage: int | None = None
+    frequency: tuple[int, ...] | None = None
+    index: tuple[int, ...] | None = None
+    floor: float | None = None
+
+    def __str__(self):
+        text = self.message
+        if text is None:
+            text = f"pivot {self.pivot_index} is {self.pivot_value:.6g} (floor {self.floor:.6g})"
+        if self.stage is None:
+            return text
+        where = "initial point" if not self.frequency else f"grid indices {self.frequency}"
+        return f"{text} [stage {self.stage}, {where}]"
 
     def tagged(self, stage, frequency):
         """Copy of this error annotated with sweep position."""
-        where = "initial point" if not frequency else f"grid indices {frequency}"
-        return NotPositiveDefinite(
-            f"{self.args[0]} [stage {stage}, {where}]",
-            pivot_index=self.pivot_index,
-            pivot_value=self.pivot_value,
-            stage=stage,
-            frequency=frequency,
-            floor=self.floor,
-        )
+        return replace(self, stage=stage, frequency=frequency, index=None)
 
     def _scaled(self, k):
-        """The same pivot refusal for the matrix times 4^k: pivot value and
-        floor times 4^k, exactly unless they over- or underflow, and the
-        message rebuilt to match."""
+        """The same refusal for the matrix times 4^k: pivot value and floor
+        times 4^k, exactly unless they over- or underflow."""
         value, floor = (v * 2.0**k * 2.0**k for v in (self.pivot_value, self.floor))
-        out = NotPositiveDefinite(f"pivot {self.pivot_index} is {value:.6g} (floor {floor:.6g})",
-                                  pivot_index=self.pivot_index, pivot_value=value,
-                                  index=self.index, floor=floor)
-        return out if self.stage is None else out.tagged(self.stage, self.frequency)
+        return replace(self, pivot_value=value, floor=floor)

@@ -27,7 +27,7 @@ whole pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,10 +35,7 @@ from .correlation import CorrelationSignal, _lag_gather, assemble
 from .errors import DimensionMismatch, NotPositiveDefinite, SizeMismatch
 from .grid import SpectralGridSpec, SpectrumEstimate, _phases
 from .indexing import DimSpec, Nesting, apply_walking, walking_map
-from .linalg import PD_PIVOT_REL, _cholesky, invert_pd, one_blas_thread
-
-# Largest triangular factor that _invert_lower hands to np.linalg.inv whole.
-_TRIANGULAR_LEAF = 32
+from .linalg import PD_PIVOT_REL, _cholesky, _invert_lower, invert_pd, one_blas_thread
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,26 +203,8 @@ def _toeplitz_blocks(c: CorrelationSignal) -> np.ndarray:
     return column.take(_lag_gather(inner, Nesting.identity(len(inner))), axis=1)
 
 
-def _invert_lower(lower: np.ndarray) -> np.ndarray:
-    """Inverse of a nonsingular lower triangular matrix by the 2 x 2 block
-    recursion [A 0; B C]^{-1} = [A^{-1} 0; -C^{-1} B A^{-1} C^{-1}], with
-    np.linalg.inv at leaves of _TRIANGULAR_LEAF or fewer rows. This is the
-    blocking of LAPACK's trtri (stability: Du Croz & Higham 1992). At
-    h = 100 it takes under half the time of np.linalg.inv on the whole
-    factor, an LU solve against the identity that ignores the zeros.
-    """
-    n = lower.shape[-1]
-    if n <= _TRIANGULAR_LEAF:
-        return np.linalg.inv(lower)
-    k = n // 2
-    a_inv, c_inv = _invert_lower(lower[:k, :k]), _invert_lower(lower[k:, k:])
-    inv = np.zeros_like(lower)
-    inv[:k, :k], inv[k:, k:] = a_inv, c_inv
-    inv[k:, :k] = -(c_inv @ (lower[k:, :k] @ a_inv))
-    return inv
-
-
 @one_blas_thread
+@np.errstate(over="ignore", invalid="ignore")
 def _first_block_column(c: CorrelationSignal) -> np.ndarray:
     """First block-column of the inverse of the assembled matrix, shape
     (gamma_{d-1}, h, h), by the multichannel Levinson recursion over the
@@ -242,7 +221,11 @@ def _first_block_column(c: CorrelationSignal) -> np.ndarray:
     and a refusal names the dense pivot n h + k. With Q = L L^H, P is
     updated as the dense Cholesky updates it, P - W^H W with W = L^{-1}
     Delta: an explicit Q^{-1} in that product loses the small pivots of a
-    near-singular R and refuses matrices the dense path accepts.
+    near-singular R and refuses matrices the dense path accepts. A factor
+    whose inverse overflows, which only a c(0) far below the other lags
+    gives, makes the next Q non-finite; the arithmetic runs without
+    overflow or invalid-value warnings, and that Q is refused as the dense
+    Cholesky refuses the same pivot.
     """
     t = _toeplitz_blocks(c)
     g, h = t.shape[0], t.shape[-1]
@@ -257,11 +240,7 @@ def _first_block_column(c: CorrelationSignal) -> np.ndarray:
         try:
             linv = _invert_lower(_cholesky(p[::-1, ::-1].conj(), floor))
         except NotPositiveDefinite as exc:
-            pivot = n * h + exc.pivot_index
-            raise NotPositiveDefinite(
-                f"pivot {pivot} is {exc.pivot_value:.6g} (floor {floor:.6g})",
-                pivot_index=pivot, pivot_value=exc.pivot_value, floor=exc.floor,
-            ).tagged(1, ()) from exc
+            raise replace(exc, pivot_index=n * h + exc.pivot_index).tagged(1, ()) from exc
         if n == g - 1:
             break
         delta = row[:, (g - 2 - n) * h:(g - 1) * h] @ x[:n + 1].reshape(-1, h)
@@ -314,20 +293,18 @@ def sequential_spectrum(c: CorrelationSignal, grid: SpectralGridSpec,
     nesting; the reversed inverse is walked back and both must agree with
     the recursion.
 
-    All of it runs on the lags times 4^-k, with 2k the binary exponent of
-    the largest real or imaginary part of a lag (c(0) for a positive
-    definite signal) made even. That part lands in [1/2, 2), so no step
-    under- or overflows whatever the signal's scale, and the power is
-    then multiplied by 4^k. An even power of two scales every Cholesky
-    factor by an exact power of two too, so the spectrum is bit for bit
-    the unscaled arithmetic's wherever that stays in range. Refusals
-    report their pivot values and floors in the signal's own units.
+    All of it runs on the unit-scale lags c 4^-k of ``c._unit_scaled()``,
+    so no step under- or overflows whatever the signal's scale, and the
+    power is then multiplied by 4^k. An even power of two scales every
+    Cholesky factor by an exact power of two too, so the spectrum is bit
+    for bit the unscaled arithmetic's wherever that stays in range.
+    Refusals report their pivot values and floors in the signal's own
+    units.
     """
     spec = DimSpec(c.gamma)
     if grid.d != spec.d:
         raise DimensionMismatch(f"{grid.d}-d grid for a {spec.d}-d signal")
-    k = int(np.frexp(np.max(np.abs(c.lags.view(float))))[1]) // 2
-    unit = c._times_power_of_two(-2 * k)
+    k, unit = c._unit_scaled()
     try:
         blocks = _first_block_column(unit)
         if cross_check_walking:

@@ -10,8 +10,10 @@ A single matrix is inverted from its factor in place by scipy's zpotri,
 about a quarter of the work of inverting the factor and multiplying it
 out. A stack stays in numpy's batched calls: zpotri takes one matrix per
 Python call, and a sweep stage's stack can hold thousands of small zero
-blocks. A stack of 1 x 1 matrices, the last sweep stage's zero blocks,
-is inverted by a reciprocal when it would factor.
+blocks. Its factors are inverted by ``_invert_lower``, the triangular
+inverse that the sequential estimator's block recursion uses too. A
+stack of 1 x 1 matrices, the last sweep stage's zero blocks, is inverted
+by a reciprocal when it would factor.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ PD_PIVOT_REL = 1e-12
 # Rows per block when the mirror of a single q x q inverse is filled, so the
 # temporaries stay a small fraction of the matrix.
 _ROW_BLOCK = 64
+# Largest triangular factor that _invert_lower hands to np.linalg.inv whole.
+_TRIANGULAR_LEAF = 32
 
 
 @functools.cache
@@ -105,10 +109,7 @@ def _factor_one(a: np.ndarray, floor: float, index: tuple[int, ...]) -> np.ndarr
         k, value = done, float(lower[done, done].real)
     else:
         return lower
-    raise NotPositiveDefinite(
-        f"pivot {k} is {value:.6g} (floor {floor:.6g})",
-        pivot_index=k, pivot_value=value, index=index, floor=floor,
-    )
+    raise NotPositiveDefinite(pivot_index=k, pivot_value=value, index=index, floor=floor)
 
 
 @one_blas_thread
@@ -151,12 +152,12 @@ def invert_pd(h) -> np.ndarray:
 
     The factor is ``cholesky``'s, with its pivot floor and refusals. A
     single matrix (``ndim == 2``) is then inverted in place in its factor's
-    memory by LAPACK's zpotri; a stack takes one batched inverse of L and
-    the product L^{-H} L^{-1}, which beats a Python call per matrix on the
-    sweep's many small zero blocks. A stack of 1 x 1 matrices whose real
-    parts are all positive and finite is inverted by the reciprocal of its
-    real part; any other takes the factorization, so it is refused as
-    before.
+    memory by LAPACK's zpotri; a stack takes the batched triangular
+    inverse of L by ``_invert_lower`` and the product L^{-H} L^{-1}, which
+    beats a Python call per matrix on the sweep's many small zero blocks.
+    A stack of 1 x 1 matrices whose real parts are all positive and finite
+    is inverted by the reciprocal of its real part; any other takes the
+    factorization, so it is refused as before.
     """
     a = np.asarray(h, dtype=complex)
     if a.shape[-2:] == (1, 1):
@@ -172,12 +173,31 @@ def invert_pd(h) -> np.ndarray:
         return _mirror_lower(inv.T)
     # each temporary is dropped as soon as it is used and the symmetrization
     # runs in place
-    linv = np.linalg.inv(lower)
+    linv = _invert_lower(lower)
     del lower
     inv = linv.conj().swapaxes(-1, -2) @ linv
     del linv
     inv += inv.conj().swapaxes(-1, -2)
     inv *= 0.5
+    return inv
+
+
+def _invert_lower(lower: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of nonsingular lower triangular matrices by the
+    2 x 2 block recursion [A 0; B C]^{-1} = [A^{-1} 0; -C^{-1} B A^{-1} C^{-1}],
+    with np.linalg.inv at leaves of _TRIANGULAR_LEAF or fewer rows. This is
+    the blocking of LAPACK's trtri (stability: Du Croz & Higham 1992). At
+    h = 100 it takes under half the time of np.linalg.inv on the whole
+    factor, an LU solve against the identity that ignores the zeros.
+    """
+    n = lower.shape[-1]
+    if n <= _TRIANGULAR_LEAF:
+        return np.linalg.inv(lower)
+    k = n // 2
+    a_inv, c_inv = _invert_lower(lower[..., :k, :k]), _invert_lower(lower[..., k:, k:])
+    inv = np.zeros_like(lower)
+    inv[..., :k, :k], inv[..., k:, k:] = a_inv, c_inv
+    inv[..., k:, :k] = -(c_inv @ (lower[..., k:, :k] @ a_inv))
     return inv
 
 

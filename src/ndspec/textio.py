@@ -2,7 +2,8 @@
 
 Numbers are written in shortest round-trip form with negative zero as
 0.0, and rows in lexicographic order of their leading integer or grid
-columns. A table is read as UTF-8, with blank and whitespace-only lines
+columns, each line ended by a newline, to a UTF-8 file or standard
+output. A table is read as UTF-8, with blank and whitespace-only lines
 dropped, and its rows are parsed by one np.loadtxt call into records
 whose fields fix every row's column count.
 """
@@ -10,6 +11,7 @@ whose fields fix every row's column count.
 from __future__ import annotations
 
 import re
+import sys
 
 import numpy as np
 
@@ -24,14 +26,9 @@ _BLANK_LINE = re.compile(r"\n\s*\n")
 _SCAN_LINES = 256
 
 
-def _fmt(x: float) -> str:
-    """Shortest round-trip decimal form; negative zero collapses to 0.0."""
-    return repr(float(x) + 0.0)
-
-
 def _csv_rows(table, sep: str = ",") -> list[str]:
     """Rows of a 2D float array joined by ``sep``, each value in shortest
-    round-trip form, negative zero as 0.0: ``_fmt`` over whole arrays."""
+    round-trip form, negative zero as 0.0."""
     table = np.asarray(table, dtype=float)
     values = map(repr, (table + 0.0).ravel().tolist())
     return [sep.join(row) for row in zip(*[values] * table.shape[1])]
@@ -51,6 +48,17 @@ def _lag_prefixes(gamma, sep: str) -> list[str]:
     """The integer components of every lag of the box, in lexicographic
     order, each followed by ``sep``."""
     return _prefixes([[str(t) for t in range(1 - g, g)] for g in gamma], sep)
+
+
+def _write_lines(path, lines) -> None:
+    """``lines``, each ended by a newline, to the UTF-8 file ``path``, or to
+    standard output when ``path`` is None."""
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 def _read_table(path, n_head: int) -> tuple[list[str], list[str]]:

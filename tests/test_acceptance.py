@@ -25,17 +25,17 @@ from ndspec import (
     apply_walking,
     ar_spectrum_1d,
     assemble,
-    capon_cost,
     correlation_match,
+    cost_report,
     estimate_correlation,
     has_toeplitz_character,
     invert_pd,
     levinson_1d,
-    sequential_cost,
     sequential_spectrum,
     synth_correlation,
     walking_map,
 )
+from ndspec.baselines import capon_cost
 from ndspec.estimator import init_stage, stage_update
 from ndspec.linalg import cholesky
 
@@ -111,10 +111,9 @@ def test_criterion_3_cube_reproduction():
 
 
 def test_criterion_4_cost_model_dominance():
-    spot_ok = (sequential_cost(DimSpec((2,)), SpectralGridSpec((4,))) == 14
-               and capon_cost(DimSpec((2,)), SpectralGridSpec((4,))) == 16
-               and sequential_cost(DimSpec((2, 2)), SpectralGridSpec((4, 4))) == 136
-               and capon_cost(DimSpec((2, 2)), SpectralGridSpec((4, 4))) == 256)
+    d1, d2 = (DimSpec((2,)), SpectralGridSpec((4,))), (DimSpec((2, 2)), SpectralGridSpec((4, 4)))
+    spot_ok = (cost_report(*d1).sequential_total == 14 and capon_cost(*d1) == 16
+               and cost_report(*d2).sequential_total == 136 and capon_cost(*d2) == 256)
     # Reference regime gamma = 10, d = 5: the last stage's zero-block
     # inversion alone costs 3/2 (10^4)^3 C, against Capon's 10^10 C^5, so
     # the sequential count can undercut Capon only once C^4 >= 150. The
@@ -125,7 +124,7 @@ def test_criterion_4_cost_model_dominance():
     violations = []
     for count in range(2, 65):
         grid = SpectralGridSpec((count,) * 5)
-        seq, cap = sequential_cost(spec, grid), capon_cost(spec, grid)
+        seq, cap = cost_report(spec, grid).sequential_total, capon_cost(spec, grid)
         ratios[count] = seq / cap
         if count >= 4 and not seq < cap:
             violations.append(f"C={count}: sequential {seq} >= capon {cap}")

@@ -7,7 +7,7 @@ import ndspec
 import ndspec.cli
 
 # The public API may shrink but must not grow past this size again.
-MAX_PUBLIC_NAMES = 37
+MAX_PUBLIC_NAMES = 34
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -17,16 +17,14 @@ from ndspec import (
     SpectralGridSpec,
     SpectrumEstimate,
     assemble,
-    capon_cost,
     capon_spectrum,
     correlation_match,
     cost_report,
     invert_pd,
-    sequential_cost,
     sequential_spectrum,
-    sequential_stage_costs,
     synth_correlation,
 )
+from ndspec.baselines import capon_cost, sequential_stage_costs
 from ndspec.correlation import _lag_gather
 from ndspec.errors import DimensionMismatch, SizeMismatch
 from ndspec.indexing import digits
@@ -209,7 +207,7 @@ class TestCapon:
 class TestCostModel:
     def test_hand_value_d1(self):
         spec, grid = DimSpec((2,)), SpectralGridSpec((4,))
-        assert sequential_cost(spec, grid) == 14
+        assert cost_report(spec, grid).sequential_total == 14
         assert capon_cost(spec, grid) == 16
         assert sequential_stage_costs(spec, grid) == ((1, Fraction(14)),)
 
@@ -218,7 +216,7 @@ class TestCostModel:
         stages = dict(sequential_stage_costs(spec, grid))
         assert stages[2] == 80
         assert stages[1] == 56
-        assert sequential_cost(spec, grid) == 136
+        assert cost_report(spec, grid).sequential_total == 136
         assert capon_cost(spec, grid) == 256
 
     def test_totals_are_per_stage_sums(self):
@@ -230,7 +228,7 @@ class TestCostModel:
     def test_reference_regime_exact_spot_value(self):
         # order 10, five dimensions, uniform grid of 2 per axis
         spec = DimSpec((10,) * 5)
-        total = sequential_cost(spec, SpectralGridSpec((2,) * 5))
+        total = cost_report(spec, SpectralGridSpec((2,) * 5)).sequential_total
         assert total == 3_008_052_840_368
         assert capon_cost(spec, SpectralGridSpec((2,) * 5)) == 320_000_000_000
 
@@ -239,7 +237,7 @@ class TestCostModel:
         previous_seq, previous_capon = None, None
         for count in (2, 4, 8, 16, 32, 64):
             grid = SpectralGridSpec((count,) * 5)
-            seq, cap = sequential_cost(spec, grid), capon_cost(spec, grid)
+            seq, cap = cost_report(spec, grid).sequential_total, capon_cost(spec, grid)
             assert seq.denominator == 1 and cap.denominator == 1
             if previous_seq is not None:
                 assert seq > previous_seq and cap > previous_capon
@@ -249,11 +247,11 @@ class TestCostModel:
         spec = DimSpec((10,) * 5)
         for count in (4, 8, 16, 32, 64):
             grid = SpectralGridSpec((count,) * 5)
-            assert sequential_cost(spec, grid) < capon_cost(spec, grid)
+            assert cost_report(spec, grid).sequential_total < capon_cost(spec, grid)
 
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatch):
-            sequential_cost(DimSpec((2, 2)), SpectralGridSpec((4,)))
+            cost_report(DimSpec((2, 2)), SpectralGridSpec((4,)))
 
 
 class TestCorrelationMatch:

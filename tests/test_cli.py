@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import signed_zero_correlation
-from ndspec import load_ndcorr
+from ndspec import CorrelationSignal, load_ndcorr, save_ndcorr
 from ndspec.cli import main
 
 VI_GEN = [
@@ -130,6 +130,30 @@ class TestEstimate:
         assert run(["estimate", str(corr), "--grid", "8"]) == 3
         message = capsys.readouterr().err
         assert "stage 1" in message
+
+    @pytest.mark.parametrize("forward, floor", [([5e-324, 1.0], "0"),
+                                                ([1e-310, 1.0, 0.5], "9.88131e-323")])
+    def test_overflowing_recursion_exits_3_with_one_line(self, tmp_path, capsys, forward,
+                                                         floor):
+        corr = tmp_path / "tiny_c0.ndcorr"
+        save_ndcorr(CorrelationSignal.from_forward_lags(forward), corr)
+        assert run(["estimate", str(corr), "--grid", "8"]) == 3
+        assert capsys.readouterr().err == (
+            f"ndspec estimate: not positive definite: pivot 1 is -inf (floor {floor}) "
+            "[stage 1, initial point]\n")
+
+    def test_capon_on_a_tiny_scale_signal(self, tmp_path):
+        # R = s [[2, 1], [1, 2]] with s = 1e-310: the Capon spectrum is
+        # 3 s / (4 - 2 cos w), though R^{-1} itself overflows
+        corr = tmp_path / "tiny.ndcorr"
+        corr.write_text("ndcorr 1\ngamma: 2\n-1 1e-310 0.0\n0 2e-310 0.0\n1 1e-310 0.0\n")
+        out = tmp_path / "tiny.csv"
+        assert run(["estimate", str(corr), "--grid", "4", "--method", "capon",
+                    "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        w = 2 * np.pi * np.array([float(r[0]) for r in rows])
+        powers = np.array([float(r[1]) for r in rows])
+        np.testing.assert_allclose(powers, 3e-310 / (4 - 2 * np.cos(w)), rtol=1e-12)
 
     def test_ridge_recovers_not_positive_definite_input(self, tmp_path):
         corr = tmp_path / "bad.ndcorr"

@@ -21,7 +21,7 @@ from ndspec import (
     sequential_spectrum,
     synth_correlation,
 )
-from ndspec import estimator
+from ndspec import estimator, linalg
 from ndspec.errors import DimensionMismatch, NotPositiveDefinite, SizeMismatch
 from ndspec.grid import _phases
 from ndspec.estimator import (
@@ -425,7 +425,7 @@ class TestInvertLower:
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 100, 129])
     def test_matches_the_dense_inverse(self, n):
         lower = cholesky(random_pd_matrix(np.random.default_rng(n), n))
-        inv = estimator._invert_lower(lower)
+        inv = linalg._invert_lower(lower)
         expected = np.linalg.inv(lower)
         assert inv.shape == (n, n) and not np.any(np.triu(inv, 1))
         assert np.max(np.abs(inv - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -439,7 +439,7 @@ class TestInvertLower:
         unit = np.eye(n) + 0.1 * np.tril(rng.standard_normal((n, n))
                                          + 1j * rng.standard_normal((n, n)), -1) / np.sqrt(n)
         lower = np.logspace(-8, 8, n)[:, None] * unit
-        inv = estimator._invert_lower(lower)
+        inv = linalg._invert_lower(lower)
         expected = np.linalg.inv(lower)
         column_scale = np.max(np.abs(expected), axis=0)
         assert np.max(np.abs(inv - expected) / column_scale) <= 1e-12
@@ -449,7 +449,7 @@ class TestInvertLower:
         # h = 36, 64 and 100 rows: every order's factor is inverted by the
         # block recursion; condition numbers 8e6 to 5e11
         h = int(np.prod(gamma[:-1]))
-        assert h > estimator._TRIANGULAR_LEAF
+        assert h > linalg._TRIANGULAR_LEAF
         for n_lines, noise in ((h // 2, 1e-8), (2 * h, 1e-9)):
             c = _lines(gamma, n_lines, noise, 3)
             r = assemble(c).entries
@@ -628,12 +628,27 @@ class TestSequentialSpectrum:
         assert str(info.value).startswith(
             f"pivot 2 is {info.value.pivot_value:.6g} (floor {info.value.floor:.6g}) [stage 1")
 
+    @pytest.mark.parametrize("forward, floor", [([5e-324, 1.0], "0"),
+                                                ([1e-310, 1.0, 0.5], "9.88131e-323")])
+    def test_overflowing_recursion_is_refused_without_warnings(self, forward, floor):
+        # c(0) far below c(1): the first factor's inverse overflows the next
+        # Schur complement, which the recursion refuses as the dense path
+        # does; warnings are errors in this suite
+        c = CorrelationSignal.from_forward_lags(forward)
+        with pytest.raises(NotPositiveDefinite) as info:
+            sequential_spectrum(c, SpectralGridSpec((8,)))
+        dense = _pivot_refused(lambda: invert_pd(assemble(c).entries))
+        got = info.value
+        assert (got.pivot_index, got.pivot_value, got.floor) == (
+            dense.pivot_index, dense.pivot_value, dense.floor) == (1, -np.inf, dense.floor)
+        assert str(got) == f"pivot 1 is -inf (floor {floor}) [stage 1, initial point]"
+
     def test_stage_refusals_report_the_inverse_units(self, monkeypatch):
         # a stage refuses in the units of the inverse, so its pivot value
         # moves against the signal's scale
         def refuse(field, grid):
             value = float(field.blocks[(0,) * field.blocks.ndim].real)
-            raise NotPositiveDefinite("pivot 0 is -", pivot_index=0, pivot_value=-value,
+            raise NotPositiveDefinite(pivot_index=0, pivot_value=-value,
                                       floor=1e-12 * value).tagged(2, (1,))
 
         monkeypatch.setattr(estimator, "stage_update", refuse)
@@ -679,3 +694,75 @@ class TestSequentialSpectrum:
         sequential_spectrum(c, grid)
         with pytest.raises(ArithmeticError, match="first block-column"):
             sequential_spectrum(c, grid, cross_check_walking=True)
+
+
+_INDEFINITE = np.array([[1.0, 2.0], [2.0, 1.0]])
+_PIVOT_3_SIGNAL = np.array([[5, -5, 2], [0, 8, 0], [2, -5, 5]], dtype=complex)
+
+
+def _stage_field(stage, zero_block):
+    """A (2, 2) field at ``stage`` whose zero block at the first point, or
+    at point (1,) of stage 2, is ``zero_block``; every other block is 1."""
+    if stage == 1:
+        blocks = np.zeros((2, 2, 2), dtype=complex)
+        blocks[0] = zero_block
+    else:
+        blocks = np.ones((3, 2, 1, 1), dtype=complex)
+        blocks[1, 0] = zero_block
+    return StageField(DimSpec((2, 2)), stage, blocks)
+
+
+def _single_refusal():
+    return _pivot_refused(lambda: cholesky(_INDEFINITE))
+
+
+def _raise(exc):
+    raise exc
+
+
+# source -> (refusing call, str, (message, pivot_index, pivot_value, floor,
+# index, stage, frequency))
+REFUSALS = {
+    "cholesky": (lambda: cholesky(_INDEFINITE), "pivot 1 is -3 (floor 1e-12)",
+                 (None, 1, -3.0, 1e-12, (), None, None)),
+    "cholesky stack": (lambda: cholesky(np.stack([np.eye(2), _INDEFINITE])),
+                       "pivot 1 is -3 (floor 1e-12)", (None, 1, -3.0, 1e-12, (1,), None, None)),
+    "recursion": (lambda: sequential_spectrum(CorrelationSignal((2, 2), _PIVOT_3_SIGNAL),
+                                              SpectralGridSpec((3, 3))),
+                  "pivot 3 is -2.625 (floor 8e-12) [stage 1, initial point]",
+                  (None, 3, -2.625, 8e-12, None, 1, ())),
+    "stage 1": (lambda: stage_update(_stage_field(1, _INDEFINITE), SpectralGridSpec((4, 3))),
+                "pivot 1 is -3 (floor 1e-12) [stage 1, initial point]",
+                (None, 1, -3.0, 1e-12, None, 1, ())),
+    "stage 2": (lambda: stage_update(_stage_field(2, -2.0), SpectralGridSpec((4, 3))),
+                "pivot 0 is -2 (floor 0) [stage 2, grid indices (1,)]",
+                (None, 0, -2.0, 0.0, None, 2, (1,))),
+    "scaled up": (lambda: _raise(_single_refusal()._scaled(3)),
+                  "pivot 1 is -192 (floor 6.4e-11)", (None, 1, -192.0, 6.4e-11, (), None, None)),
+    "scaled down": (lambda: _raise(_single_refusal()._scaled(-3)),
+                    "pivot 1 is -0.046875 (floor 1.5625e-14)",
+                    (None, 1, -0.046875, 1.5625e-14, (), None, None)),
+    "scaled tagged": (lambda: _raise(_single_refusal().tagged(2, (0, 1))._scaled(-1)),
+                      "pivot 1 is -0.75 (floor 2.5e-13) [stage 2, grid indices (0, 1)]",
+                      (None, 1, -0.75, 2.5e-13, None, 2, (0, 1))),
+    "levinson zero lag": (lambda: levinson_1d(CorrelationSignal.from_forward_lags([0.0, 0.0])),
+                          "zero lag is not positive",
+                          ("zero lag is not positive", 0, 0.0, None, None, None, None)),
+    "levinson reflection": (
+        lambda: levinson_1d(CorrelationSignal.from_forward_lags([1.0, 2.0])),
+        "reflection coefficient 1 has modulus 2 >= 1",
+        ("reflection coefficient 1 has modulus 2 >= 1", 1, 2.0, None, None, None, None)),
+}
+
+
+@pytest.mark.parametrize("source", list(REFUSALS))
+def test_every_refusal_source_pins_its_text_and_fields(source):
+    call, text, fields = REFUSALS[source]
+    with pytest.raises(NotPositiveDefinite) as info:
+        call()
+    exc = info.value
+    got = (exc.message, exc.pivot_index, exc.pivot_value, exc.floor,
+           exc.index, exc.stage, exc.frequency)
+    assert str(exc) == text
+    assert got[:2] + got[3:] == fields[:2] + fields[3:]
+    assert got[2] == pytest.approx(fields[2], rel=1e-12)

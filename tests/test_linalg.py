@@ -144,6 +144,19 @@ class TestInvertPd:
             bound = 1e-12 * np.linalg.cond(h) * np.max(np.abs(stacked))
             assert np.max(np.abs(single - stacked)) <= bound
 
+    @pytest.mark.parametrize("h", [40, 100])
+    def test_stack_over_a_triangular_leaf_matches_per_matrix_inverse(self, h):
+        # factors above linalg._TRIANGULAR_LEAF rows take the block recursion
+        rng = np.random.default_rng(h)
+        stack = np.stack([random_pd_matrix(rng, h), self.ill_conditioned(rng, h, 1e6),
+                          self.ill_conditioned(rng, h, 1e10)])
+        out = invert_pd(stack)
+        for a, inv in zip(stack, out):
+            expected = np.linalg.inv(a)
+            bound = 1e-12 * np.linalg.cond(a) * np.max(np.abs(expected))
+            assert np.max(np.abs(inv - expected)) <= bound
+            assert np.array_equal(inv, inv.conj().T)
+
     def test_single_exactly_hermitian_with_real_diagonal(self):
         rng = np.random.default_rng(19)
         for n in (1, 3, 63, 64, 65, 129, 200):
