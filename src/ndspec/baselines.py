@@ -66,10 +66,16 @@ def capon_spectrum(r_inv, spec: DimSpec, grid: SpectralGridSpec) -> SpectrumEsti
     gather = _lag_gather(spec.gamma, Nesting.identity(spec.d)).ravel()
     denominator = (np.bincount(gather, a.real.ravel(), math.prod(box))
                    + 1j * np.bincount(gather, a.imag.ravel(), math.prod(box))).reshape(box)
-    for table in _box_phases(spec.gamma, grid.counts):
+    *tables, last = _box_phases(spec.gamma, grid.counts)
+    for table in tables:
         # contracts the leading lag axis and appends its frequency axis
         denominator = np.tensordot(denominator, table, axes=(0, 1))
-    return SpectrumEstimate(grid, 1.0 / denominator.real)
+    # only the real part is formed: the last lag axis, moved to the end, meets
+    # the table as one real GEMM of (re, im) pairs against (cos, -sin)
+    denominator = np.ascontiguousarray(np.moveaxis(denominator, 0, -1))
+    power = np.tensordot(denominator.view(float), last.conj().view(float), axes=(-1, 1))
+    np.divide(1.0, power, out=power)
+    return SpectrumEstimate(grid, power)
 
 
 def _box_phases(gamma, counts) -> list[np.ndarray]:

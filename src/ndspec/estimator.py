@@ -15,8 +15,15 @@ new axis in chunks of about an eighth of its frequencies: one GEMM with
 a phase matrix gives a chunk's Fourier sums at every point, and one
 batched call its congruences, so no Python loop runs over points or
 single frequencies of a long axis. The last stage's zero blocks are
-1 x 1 and are inverted by a reciprocal. After the last dimension the
-field is scalar and the power spectrum is its reciprocal.
+1 x 1 and are inverted by a reciprocal. It writes only the real part of
+each scalar, once, into a float array in grid order m_0..m_{d-1}, and
+the power spectrum is formed in place there as their reciprocal.
+
+An estimate's memory is about 8 bytes per grid cell for the power, the
+last stage's chunk temporaries (about 4 bytes per cell at chunks of
+ceil(C / 8) of its C frequencies), the last stage's input field and its
+block-major copy, and the recursion's ~3 gamma_{d-1} h^2 complex values
+(the column, the lag row and one backward product).
 
 In one dimension the sweep reproduces the classical autoregressive
 (maximum entropy) spectrum of the lag sequence exactly: the first column
@@ -73,7 +80,8 @@ def levinson_1d(c: CorrelationSignal) -> LevinsonResult:
     sigmas = np.zeros(max(g - 1, 0), dtype=complex)
     for m in range(1, g):
         acc = r[m] + np.dot(p[1:m], r[m - 1:0:-1])
-        sigma = -acc / rho
+        with np.errstate(over="ignore", invalid="ignore"):  # a tiny rho: |sigma| is inf
+            sigma = -acc / rho
         if abs(sigma) >= 1.0:
             raise NotPositiveDefinite(
                 f"reflection coefficient {m} has modulus {abs(sigma):.6g} >= 1",
@@ -107,7 +115,8 @@ class StageField:
     ``blocks`` carries one leading axis per processed dimension (highest
     label first), then the block index k, then the h x h block itself.
     Stage x in 1..d is ready for an update; stage d + 1 is the finished
-    scalar field.
+    scalar field, whose blocks are real: a transposed view of one float
+    array in grid order m_0..m_{d-1}.
     """
 
     spec: DimSpec
@@ -153,7 +162,9 @@ def stage_update(field: StageField, grid: SpectralGridSpec) -> StageField:
     at every point, folding k >= C exactly, and one batched product the
     congruences M ([G(0)]^{-1} M_top^H), where M_top holds the rows of the
     next stage's first block-column (a scalar at the last stage). They are
-    written through a frequency-major view of the output. NotPositiveDefinite
+    written through a frequency-major view of the output; the last stage
+    writes only the scalars' real parts, into a float array in grid order
+    m_0..m_{d-1} that the finished field views transposed. NotPositiveDefinite
     is re-raised tagged with the stage and the first processed grid point,
     in C order, whose zero block failed.
     """
@@ -169,23 +180,25 @@ def stage_update(field: StageField, grid: SpectralGridSpec) -> StageField:
     except NotPositiveDefinite as exc:
         raise exc.tagged(x, exc.index) from exc
     new_h = h // spec.gamma[dim - 1] if x < d else 1
-    g0_inv = g0_inv.reshape(-1, h, h)
-    points = len(g0_inv)
     # row k holds G(k) at every point: one copy per stage, not per chunk
     flat = np.moveaxis(field.blocks, -3, 0).reshape(n_blocks, -1)
     phases = _phases(count, np.arange(n_blocks))
-    out = np.empty(field.counts + (count, h, new_h), dtype=complex)
-    by_frequency = out.reshape(points, count, h, new_h).swapaxes(0, 1)
+    if x < d:
+        out = np.empty(field.counts + (count, h, new_h), dtype=complex)
+    else:  # real scalars, stored in grid order m_0..m_{d-1} and transposed here
+        out = np.empty(grid.counts).T[..., None, None]
+    by_frequency = np.moveaxis(out, -3, 0)
     step = -(-count // 8)  # temporaries of a few eighths of ``out``
     for start in range(0, count, step):
         stop = min(start + step, count)
-        summed = (phases[start:stop] @ flat).reshape(stop - start, points, h, h)
+        summed = (phases[start:stop] @ flat).reshape((stop - start,) + g0_inv.shape)
         kept = by_frequency[start:stop]
         if h > 1:
             np.matmul(summed, g0_inv @ summed[..., :new_h, :].conj().swapaxes(-1, -2), out=kept)
         else:  # 1 x 1 blocks: elementwise, not one BLAS call per point and frequency
             right = summed.conj()
-            np.multiply(np.multiply(summed, g0_inv, out=summed), right, out=kept)
+            np.multiply(np.multiply(summed, g0_inv, out=summed), right, out=summed)
+            kept[...] = summed if x < d else summed.real
     return StageField(spec, x + 1, out.reshape(field.counts + (count, h // new_h, new_h, new_h)))
 
 
@@ -246,9 +259,14 @@ def _first_block_column(c: CorrelationSignal) -> np.ndarray:
         delta = row[:, (g - 2 - n) * h:(g - 1) * h] @ x[:n + 1].reshape(-1, h)
         w = linv @ delta
         gain = linv.conj().T @ w
-        backward = x[n::-1, ::-1, ::-1].conj().reshape(-1, h)
-        x[1:n + 2] -= (backward @ gain).reshape(-1, h, h)
+        # y_j G = J conj(x_{n-j} J conj(G)): one product of the contiguous x,
+        # conjugated in place and read with its blocks and rows reversed
+        backward = x[:n + 1].reshape(-1, h) @ gain[::-1].conj()
+        np.conjugate(backward, out=backward)
+        x[1:n + 2] -= backward.reshape(-1, h, h)[::-1, ::-1]
+        del backward  # before the next order's factorization and larger product
         p -= w.conj().T @ w
+    del row  # so x and its product with P^{-1} stay below the loop's peak
     q_inv = linv.conj().T @ linv
     return x @ q_inv[::-1, ::-1].conj()
 
@@ -281,6 +299,7 @@ def _cross_check(c: CorrelationSignal, blocks: np.ndarray, tol: float = 1e-8) ->
         )
 
 
+@one_blas_thread
 def sequential_spectrum(c: CorrelationSignal, grid: SpectralGridSpec,
                         cross_check_walking: bool = False) -> SpectrumEstimate:
     """Full sweep over all dimensions; returns S = 1 / G_final on the grid.
@@ -292,6 +311,10 @@ def sequential_spectrum(c: CorrelationSignal, grid: SpectralGridSpec,
     assembled and inverted densely under the identity and the reversed
     nesting; the reversed inverse is walked back and both must agree with
     the recursion.
+
+    The power is formed in place in the last stage's grid-ordered array,
+    so it is C-contiguous and no transposed copy is made. The recursion
+    and every stage run inside one pin of the BLAS to one thread.
 
     All of it runs on the unit-scale lags c 4^-k of ``c._unit_scaled()``,
     so no step under- or overflows whatever the signal's scale, and the
@@ -317,8 +340,9 @@ def sequential_spectrum(c: CorrelationSignal, grid: SpectralGridSpec,
             field = stage_update(field, grid)
     except NotPositiveDefinite as exc:  # pivots of the inverse times 4^k
         raise exc._scaled(-k) from exc
-    # leading axes run over dimensions d-1..0; reorder to m_0..m_{d-1}
-    scalars = field.blocks[..., 0, 0, 0].real
-    power = 2.0**k / np.transpose(scalars, axes=tuple(reversed(range(spec.d))))
+    # the last stage's real scalars, in grid order m_0..m_{d-1} under the
+    # field's transposed view
+    power = np.asarray(field.blocks[..., 0, 0, 0]).T
+    np.divide(2.0**k, power, out=power)
     power *= 2.0**k  # 4^k in two exact steps, as 4.0**k overflows for large |k|
     return SpectrumEstimate(grid, power)

@@ -69,11 +69,11 @@ def whole_axis_update(field, grid):
     return full.reshape(field.counts + (count, h // new_h, new_h, new_h))
 
 
-def update_peak(update, field, grid):
+def update_peak(update, *args):
     """tracemalloc peak of one call of ``update``, in bytes, and its output."""
     tracemalloc.start()
     try:
-        out = update(field, grid)
+        out = update(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -114,6 +114,13 @@ class TestLevinson:
         rng = np.random.default_rng(0)
         with pytest.raises(DimensionMismatch):
             levinson_1d(random_correlation(rng, (2, 2)))
+
+    def test_overflowing_reflection_is_refused_without_warnings(self):
+        # c(1) / c(0) overflows, and |sigma| = inf is refused as any
+        # |sigma| >= 1; warnings are errors in this suite
+        with pytest.raises(NotPositiveDefinite) as info:
+            levinson_1d(CorrelationSignal.from_forward_lags([5e-324, 1.0]))
+        assert (info.value.pivot_index, info.value.pivot_value) == (1, np.inf)
 
     def test_solves_the_normal_equations(self):
         # R p = rho e_0 with p normalized to p[0] = 1
@@ -420,6 +427,14 @@ class TestFirstBlockColumn:
             tracemalloc.stop()
         assert peak < 16 * 1000 ** 2
 
+    def test_holds_at_most_four_block_columns(self):
+        # the column x, the lag row and one backward product at a time, each
+        # about gamma h^2 complex values, plus h x h temporaries
+        c = random_correlation(np.random.default_rng(15), (10, 10, 10))
+        _first_block_column(c)
+        peak, blocks = update_peak(_first_block_column, c)
+        assert peak <= 4 * blocks.nbytes, peak / blocks.nbytes
+
 
 class TestInvertLower:
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 100, 129])
@@ -669,6 +684,17 @@ class TestSequentialSpectrum:
         c = CorrelationSignal.from_forward_lags([1.0, 0.5])
         with pytest.raises(DimensionMismatch):
             sequential_spectrum(c, SpectralGridSpec((4, 4)))
+
+    def test_grid_bound_estimate_allocates_at_most_20_bytes_per_cell(self):
+        # the power, 8 bytes a cell, is written once, in grid order, by the
+        # last stage; its input, block-major copy and chunk temporaries add
+        # about 9 more
+        c = random_correlation(np.random.default_rng(19), (4, 4, 4))
+        grid = SpectralGridSpec((32, 32, 32))
+        sequential_spectrum(c, grid)
+        peak, s = update_peak(sequential_spectrum, c, grid)
+        assert peak <= 20 * grid.size, peak / grid.size
+        assert s.power.flags.c_contiguous
 
     def test_not_positive_definite_is_tagged(self):
         c = CorrelationSignal.from_forward_lags([0.5, 1.0])

@@ -301,6 +301,15 @@ class TestOneBlasThread:
         with pin:
             assert np.array_equal(invert_pd(np.eye(2)), np.eye(2))
 
+    def test_estimate_pins_once(self, monkeypatch):
+        # the recursion and the three stages nest inside the estimate's entry
+        count = [4]
+        pin, calls = self.fake(count)
+        monkeypatch.setattr(linalg.one_blas_thread, "find", pin.find)
+        sequential_spectrum(random_correlation(np.random.default_rng(19), (2, 3, 2)),
+                            SpectralGridSpec((3, 4, 5)))
+        assert calls == [1, 4]
+
     @staticmethod
     def openblas_get(package, config):
         """The thread-count getter of ``package``'s bundled OpenBLAS; skips
