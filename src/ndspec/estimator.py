@@ -1,8 +1,9 @@
 """Sequential dimension-by-dimension spectral estimation.
 
-The estimator computes the first block-column of the inverse correlation
-matrix by the multichannel Levinson recursion over the slowest dimension,
-without assembling the matrix, and then sweeps the dimensions from the
+The estimator runs the multichannel Levinson recursion over the slowest
+dimension, without assembling the matrix: its forward predictor x and the
+inverse P^{-1} of its error give the first block-column x P^{-1} of the
+inverse correlation matrix. It then sweeps the dimensions from the
 highest label down. Each stage holds, at every already-processed
 frequency tuple, the first block-column of a running inverse; the stage
 forms the block Fourier sum M(w) over a new frequency axis, pushes it
@@ -10,11 +11,17 @@ through the inverted zero block as the congruence M [G(0)]^{-1} M^H, and
 extracts a smaller first block-column for the next stage. Only the
 columns that are kept are formed: M ([G(0)]^{-1} M_top^H), with M_top
 the leading rows of M, costs h^2 h' per point where (M [G(0)]^{-1}) M^H
-costs h^3. The stage copies its blocks once, block-major, and takes the
-new axis in chunks of about an eighth of its frequencies: one GEMM with
-a phase matrix gives a chunk's Fourier sums at every point, and one
-batched call its congruences, so no Python loop runs over points or
-single frequencies of a long axis. The last stage's zero blocks are
+costs h^3. Stage 1 takes x and P^{-1} as they are: with G = x P^{-1}
+and G(0) = P^{-1}, its congruence is M_x P^{-1} M_x,top^H, and nothing
+is inverted. Each later stage inverts its zero blocks in one stacked
+call. A stage copies its blocks once, block-major, and takes the new
+axis in chunks: one GEMM with a phase matrix gives a chunk's Fourier
+sums at every point, and one batched call its congruences, so no Python
+loop runs over points or single frequencies of a long axis. The last
+stage's chunks hold ceil(C / 8) of its C frequencies; an earlier stage's
+chunks are as long as its temporaries fit in the larger of the last
+stage's working set and the recursion's, which the estimate holds anyway
+(one chunk on the benchmark workloads). The last stage's zero blocks are
 1 x 1 and are inverted by a reciprocal. It writes only the real part of
 each scalar, once, into a float array in grid order m_0..m_{d-1}, and
 the power spectrum is formed in place there as their reciprocal.
@@ -23,7 +30,7 @@ An estimate's memory is about 8 bytes per grid cell for the power, the
 last stage's chunk temporaries (about 4 bytes per cell at chunks of
 ceil(C / 8) of its C frequencies), the last stage's input field and its
 block-major copy, and the recursion's ~3 gamma_{d-1} h^2 complex values
-(the column, the lag row and one backward product).
+(the predictor, the lag row and one backward product).
 
 In one dimension the sweep reproduces the classical autoregressive
 (maximum entropy) spectrum of the lag sequence exactly: the first column
@@ -34,6 +41,7 @@ whole pipeline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -117,11 +125,19 @@ class StageField:
     Stage x in 1..d is ready for an update; stage d + 1 is the finished
     scalar field, whose blocks are real: a transposed view of one float
     array in grid order m_0..m_{d-1}.
+
+    ``weight``, when known, is the Hermitian matrix that the stage's
+    congruence puts between the Fourier sums, at every processed point;
+    by default it is the inverse of the zero blocks, which the stage
+    computes. The recursion's field holds the predictor x and its known
+    weight P^{-1}: the first block-column x P^{-1} stored with an identity
+    zero block, whose congruence M_x P^{-1} M_x,top^H is the column's.
     """
 
     spec: DimSpec
     stage: int
     blocks: np.ndarray
+    weight: np.ndarray | None = None
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -152,21 +168,45 @@ def init_stage(r_inv, spec: DimSpec) -> StageField:
     return StageField(spec, 1, blocks)
 
 
+def _chunk(field: StageField, grid: SpectralGridSpec, new_h: int) -> int:
+    """New-axis frequencies per chunk of the field's stage.
+
+    The last stage takes ceil(C / 8) of its C frequencies. An earlier
+    stage takes as many as keep its temporaries (the chunk's Fourier sums
+    and the two h x new_h factors of its congruence, at every point)
+    within one byte budget: the larger of the last stage's working set,
+    the power and its chunk temporaries, and the recursion's ~3
+    gamma_{d-1} h^2 complex values. Both are in the estimate's footprint
+    already, so no stage holds more than the estimate does.
+    """
+    spec, counts, h = field.spec, grid.counts, field.block_size
+    last_chunk = -(-counts[0] // 8)
+    if field.stage == spec.d:
+        return last_chunk
+    complex_bytes, g = 16, spec.gamma[-1]
+    # the last stage's chunk holds its Fourier sums and their conjugates
+    last_stage = 8 * grid.size + 2 * complex_bytes * last_chunk * math.prod(counts[1:])
+    recursion = 3 * complex_bytes * g * (spec.q // g) ** 2
+    per_frequency = complex_bytes * math.prod(field.counts) * (h * h + 2 * h * new_h)
+    return max(1, max(last_stage, recursion) // per_frequency)
+
+
 @one_blas_thread
 def stage_update(field: StageField, grid: SpectralGridSpec) -> StageField:
     """One sweep stage: invert the zero blocks of every processed point in
-    one stacked call (a reciprocal when they are 1 x 1) and copy the blocks
-    once, block-major, into one (n_blocks, points h h) matrix. Per chunk of
-    about an eighth of the new axis, one GEMM with phases of (m k mod C) / C
-    of a turn then gives the block Fourier sums M(w_m) = sum_k G(k) e^{j k w_m}
-    at every point, folding k >= C exactly, and one batched product the
-    congruences M ([G(0)]^{-1} M_top^H), where M_top holds the rows of the
-    next stage's first block-column (a scalar at the last stage). They are
-    written through a frequency-major view of the output; the last stage
-    writes only the scalars' real parts, into a float array in grid order
-    m_0..m_{d-1} that the finished field views transposed. NotPositiveDefinite
-    is re-raised tagged with the stage and the first processed grid point,
-    in C order, whose zero block failed.
+    one stacked call (a reciprocal when they are 1 x 1), unless the field
+    carries their weight, and copy the blocks once, block-major, into one
+    (n_blocks, points h h) matrix. Per chunk of the new axis (``_chunk``),
+    one GEMM with phases of (m k mod C) / C of a turn then gives the block
+    Fourier sums M(w_m) = sum_k G(k) e^{j k w_m} at every point, folding
+    k >= C exactly, and one batched product the congruences
+    M ([G(0)]^{-1} M_top^H), where M_top holds the rows of the next stage's
+    first block-column (a scalar at the last stage). They are written
+    through a frequency-major view of the output; the last stage writes
+    only the scalars' real parts, into a float array in grid order
+    m_0..m_{d-1} that the finished field views transposed.
+    NotPositiveDefinite is re-raised tagged with the stage and the first
+    processed grid point, in C order, whose zero block failed.
     """
     spec, x, d = field.spec, field.stage, field.spec.d
     if x > d:
@@ -175,10 +215,12 @@ def stage_update(field: StageField, grid: SpectralGridSpec) -> StageField:
         raise DimensionMismatch(f"{grid.d}-d grid for a {d}-d field")
     dim = d - x
     count, h, n_blocks = grid.counts[dim], field.block_size, field.n_blocks
-    try:
-        g0_inv = invert_pd(field.blocks[..., 0, :, :])
-    except NotPositiveDefinite as exc:
-        raise exc.tagged(x, exc.index) from exc
+    weight = field.weight
+    if weight is None:
+        try:
+            weight = invert_pd(field.blocks[..., 0, :, :])
+        except NotPositiveDefinite as exc:
+            raise exc.tagged(x, exc.index) from exc
     new_h = h // spec.gamma[dim - 1] if x < d else 1
     # row k holds G(k) at every point: one copy per stage, not per chunk
     flat = np.moveaxis(field.blocks, -3, 0).reshape(n_blocks, -1)
@@ -188,17 +230,19 @@ def stage_update(field: StageField, grid: SpectralGridSpec) -> StageField:
     else:  # real scalars, stored in grid order m_0..m_{d-1} and transposed here
         out = np.empty(grid.counts).T[..., None, None]
     by_frequency = np.moveaxis(out, -3, 0)
-    step = -(-count // 8)  # temporaries of a few eighths of ``out``
+    step = _chunk(field, grid, new_h)
     for start in range(0, count, step):
         stop = min(start + step, count)
-        summed = (phases[start:stop] @ flat).reshape((stop - start,) + g0_inv.shape)
+        summed = (phases[start:stop] @ flat).reshape((stop - start,) + field.counts + (h, h))
         kept = by_frequency[start:stop]
         if h > 1:
-            np.matmul(summed, g0_inv @ summed[..., :new_h, :].conj().swapaxes(-1, -2), out=kept)
+            np.matmul(summed, weight @ summed[..., :new_h, :].conj().swapaxes(-1, -2), out=kept)
         else:  # 1 x 1 blocks: elementwise, not one BLAS call per point and frequency
             right = summed.conj()
-            np.multiply(np.multiply(summed, g0_inv, out=summed), right, out=summed)
+            np.multiply(np.multiply(summed, weight, out=summed), right, out=summed)
             kept[...] = summed if x < d else summed.real
+            del right
+        del summed  # before the next chunk's sums are formed
     return StageField(spec, x + 1, out.reshape(field.counts + (count, h // new_h, new_h, new_h)))
 
 
@@ -218,13 +262,14 @@ def _toeplitz_blocks(c: CorrelationSignal) -> np.ndarray:
 
 @one_blas_thread
 @np.errstate(over="ignore", invalid="ignore")
-def _first_block_column(c: CorrelationSignal) -> np.ndarray:
-    """First block-column of the inverse of the assembled matrix, shape
-    (gamma_{d-1}, h, h), by the multichannel Levinson recursion over the
-    slowest dimension (Whittle 1963; Wiggins & Robinson 1965).
+def _forward_predictor(c: CorrelationSignal) -> tuple[np.ndarray, np.ndarray]:
+    """Forward predictor x, shape (gamma_{d-1}, h, h), and the inverse
+    P^{-1} of its error, by the multichannel Levinson recursion over the
+    slowest dimension (Whittle 1963; Wiggins & Robinson 1965). The first
+    block-column of the inverse of the assembled matrix is x P^{-1}.
 
     The forward solution x (x_0 = I) of the n + 1 leading block-rows has
-    error P; the first block-column is x P^{-1}. Every T(k) is
+    error P. Every T(k) is
     persymmetric, J T(k) J = T(k)^T with J the reversal of the inner flat
     index, so the backward solution and error are y_k = J conj(x_{n-k}) J
     and Q = J conj(P) J, and each order costs one h x h inversion.
@@ -238,7 +283,8 @@ def _first_block_column(c: CorrelationSignal) -> np.ndarray:
     whose inverse overflows, which only a c(0) far below the other lags
     gives, makes the next Q non-finite; the arithmetic runs without
     overflow or invalid-value warnings, and that Q is refused as the dense
-    Cholesky refuses the same pivot.
+    Cholesky refuses the same pivot. P^{-1} = J conj(Q^{-1}) J is taken
+    from the last order's factor of Q.
     """
     t = _toeplitz_blocks(c)
     g, h = t.shape[0], t.shape[-1]
@@ -266,9 +312,8 @@ def _first_block_column(c: CorrelationSignal) -> np.ndarray:
         x[1:n + 2] -= backward.reshape(-1, h, h)[::-1, ::-1]
         del backward  # before the next order's factorization and larger product
         p -= w.conj().T @ w
-    del row  # so x and its product with P^{-1} stay below the loop's peak
     q_inv = linv.conj().T @ linv
-    return x @ q_inv[::-1, ::-1].conj()
+    return x, q_inv[::-1, ::-1].conj()
 
 
 def _cross_check(c: CorrelationSignal, blocks: np.ndarray, tol: float = 1e-8) -> None:
@@ -304,13 +349,14 @@ def sequential_spectrum(c: CorrelationSignal, grid: SpectralGridSpec,
                         cross_check_walking: bool = False) -> SpectrumEstimate:
     """Full sweep over all dimensions; returns S = 1 / G_final on the grid.
 
-    The first block-column of the inverse correlation matrix comes from
-    the block Levinson recursion over the slowest dimension; each
-    dimension is then converted to an explicit frequency axis from the
-    highest label down. With ``cross_check_walking`` the matrix is also
-    assembled and inverted densely under the identity and the reversed
-    nesting; the reversed inverse is walked back and both must agree with
-    the recursion.
+    The block Levinson recursion over the slowest dimension gives the
+    forward predictor and the inverse of its error, which stage 1 sweeps
+    as they are, with no inversion; each dimension is then converted to
+    an explicit frequency axis from the highest label down. With
+    ``cross_check_walking`` the matrix is also assembled and inverted
+    densely under the identity and the reversed nesting; the reversed
+    inverse is walked back and both must agree with the recursion's
+    first block-column x P^{-1}.
 
     The power is formed in place in the last stage's grid-ordered array,
     so it is C-contiguous and no transposed copy is made. The recursion
@@ -329,12 +375,13 @@ def sequential_spectrum(c: CorrelationSignal, grid: SpectralGridSpec,
         raise DimensionMismatch(f"{grid.d}-d grid for a {spec.d}-d signal")
     k, unit = c._unit_scaled()
     try:
-        blocks = _first_block_column(unit)
+        x, p_inv = _forward_predictor(unit)
         if cross_check_walking:
-            _cross_check(unit, blocks)
+            _cross_check(unit, x @ p_inv)
     except NotPositiveDefinite as exc:  # pivots of the matrix times 4^-k
         raise exc._scaled(k) from exc
-    field = StageField(spec, 1, blocks)
+    field = StageField(spec, 1, x, p_inv)
+    del x, p_inv  # P^{-1} goes with stage 1's field
     try:
         for _ in range(spec.d):
             field = stage_update(field, grid)

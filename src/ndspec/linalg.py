@@ -13,7 +13,11 @@ Python call, and a sweep stage's stack can hold thousands of small zero
 blocks. Its factors are inverted by ``_invert_lower``, the triangular
 inverse that the sequential estimator's block recursion uses too. A
 stack of 1 x 1 matrices, the last sweep stage's zero blocks, is inverted
-by a reciprocal when it would factor.
+by a reciprocal when it would factor. An inverse that overflows the
+double range is refused with OverflowError.
+
+scipy is imported at its first use, so a sequential estimate, which
+inverts only stacks, never loads it.
 """
 
 from __future__ import annotations
@@ -21,12 +25,12 @@ from __future__ import annotations
 import ctypes
 import functools
 import importlib
+import sys
 import threading
 from contextlib import ContextDecorator
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import zpotrf, zpotri
 
 from .errors import NotPositiveDefinite, SizeMismatch
 
@@ -37,6 +41,9 @@ PD_PIVOT_REL = 1e-12
 _ROW_BLOCK = 64
 # Largest triangular factor that _invert_lower hands to np.linalg.inv whole.
 _TRIANGULAR_LEAF = 32
+# Smallest positive number whose reciprocal invert_pd takes without a check:
+# the reciprocal is at most half the largest double.
+_RECIPROCAL_MIN = 2.0 / np.finfo(float).max
 
 
 @functools.cache
@@ -59,11 +66,12 @@ def _openblas_calls(package: str):
     return None
 
 
-@functools.cache
 def _openblas_threads():
-    """(get, set) pairs of numpy's and scipy's bundled OpenBLAS, in that
-    order; empty when neither uses one."""
-    return tuple(calls for calls in map(_openblas_calls, ("numpy", "scipy")) if calls)
+    """(get, set) pairs of numpy's bundled OpenBLAS and, once scipy.linalg
+    is loaded, scipy's, in that order; empty when neither uses one. Before
+    that, scipy's OpenBLAS is not even loaded."""
+    packages = ("numpy", "scipy") if "scipy.linalg" in sys.modules else ("numpy",)
+    return tuple(calls for calls in map(_openblas_calls, packages) if calls)
 
 
 class _OneBlasThread(ContextDecorator):
@@ -92,14 +100,36 @@ class _OneBlasThread(ContextDecorator):
                 for put, count in self.saved:
                     put(count)
 
+    def extend(self):
+        """Inside a held pin, pin too what ``find`` names only now: scipy's
+        OpenBLAS, once scipy.linalg is loaded. Its count is restored with
+        the others'."""
+        with self.lock:
+            if self.depth:
+                held = [put for put, _ in self.saved]
+                for get, put in self.find() or ():
+                    if put not in held:
+                        self.saved += ((put, get()),)
+                        put(1)
+
 
 one_blas_thread = _OneBlasThread(_openblas_threads)
+
+
+def _lapack():
+    """scipy's LAPACK wrappers, imported at first use. Called inside a pin,
+    it pins scipy's OpenBLAS as well, so even the first call of a process
+    runs on one thread of each library."""
+    from scipy.linalg import lapack
+
+    one_blas_thread.extend()
+    return lapack
 
 
 def _factor_one(a: np.ndarray, floor: float, index: tuple[int, ...]) -> np.ndarray:
     """Lower factor of one matrix; the first pivot at or below ``floor``
     (or the one LAPACK rejects) is reported with ``index``."""
-    lower, info = zpotrf(a, lower=1, clean=1)
+    lower, info = _lapack().zpotrf(a, lower=1, clean=1)
     done = info - 1 if info > 0 else a.shape[-1]
     pivots = lower.diagonal().real[:done] ** 2
     low = np.flatnonzero(~(pivots > floor))
@@ -155,31 +185,49 @@ def invert_pd(h) -> np.ndarray:
     memory by LAPACK's zpotri; a stack takes the batched triangular
     inverse of L by ``_invert_lower`` and the product L^{-H} L^{-1}, which
     beats a Python call per matrix on the sweep's many small zero blocks.
-    A stack of 1 x 1 matrices whose real parts are all positive and finite
-    is inverted by the reciprocal of its real part; any other takes the
-    factorization, so it is refused as before.
+    A stack of 1 x 1 matrices whose real parts are all finite and large
+    enough for their reciprocals to stay finite is inverted by the
+    reciprocal of its real part; any other takes the factorization, so it
+    is refused as before.
+
+    A matrix whose inverse overflows, one with an eigenvalue below about
+    1e-308, raises OverflowError naming the first such matrix in C order.
     """
     a = np.asarray(h, dtype=complex)
     if a.shape[-2:] == (1, 1):
         re = a.real
-        if np.all((re > 0.0) & (re < np.inf)):
+        if np.all((re >= _RECIPROCAL_MIN) & (re < np.inf)):
             return (1.0 / re).astype(complex)
     lower = cholesky(a)
     if lower.ndim == 2 and lower.size:
         # C-ordered L is Fortran-ordered L^T, an upper factor of conj(h):
         # zpotri leaves the upper triangle of conj(h)^{-1} there, which is
         # the lower triangle of h^{-1} in C order, and copies nothing.
-        inv, _ = zpotri(lower.T, lower=0, overwrite_c=1)
-        return _mirror_lower(inv.T)
-    # each temporary is dropped as soon as it is used and the symmetrization
-    # runs in place
-    linv = _invert_lower(lower)
-    del lower
-    inv = linv.conj().swapaxes(-1, -2) @ linv
-    del linv
-    inv += inv.conj().swapaxes(-1, -2)
-    inv *= 0.5
-    return inv
+        inv, _ = _lapack().zpotri(lower.T, lower=0, overwrite_c=1)
+        return _finite(_mirror_lower(inv.T))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # each temporary is dropped as soon as it is used and the
+        # symmetrization runs in place, halving first so that an inverse
+        # within the double range stays within it
+        linv = _invert_lower(lower)
+        del lower
+        inv = linv.conj().swapaxes(-1, -2) @ linv
+        del linv
+        inv *= 0.5
+        inv += inv.conj().swapaxes(-1, -2)
+    return _finite(inv)
+
+
+def _finite(inv: np.ndarray) -> np.ndarray:
+    """``inv``, a stack of Hermitian positive definite inverses, unless one
+    of them overflowed. No entry of such a matrix exceeds its largest
+    diagonal entry, so its diagonal is all that is checked."""
+    diagonal = np.diagonal(inv, axis1=-2, axis2=-1).real
+    if diagonal.max(initial=0.0) < np.inf:
+        return inv
+    index = np.unravel_index(np.argmin(diagonal < np.inf), diagonal.shape)[:-1]
+    where = f" of matrix {tuple(map(int, index))}" if index else ""
+    raise OverflowError(f"the inverse{where} overflows the double range")
 
 
 def _invert_lower(lower: np.ndarray) -> np.ndarray:

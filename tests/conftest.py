@@ -1,9 +1,16 @@
-"""Shared builders for randomized test inputs.
+"""Shared builders for randomized test inputs, and a runner of scripts in
+a fresh interpreter.
 
 Everything here is seeded by the caller; no global random state.
 """
 
 from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -90,3 +97,14 @@ def character_matrix(rng, spec: DimSpec, u: int, nesting: Nesting) -> np.ndarray
                 values[key] = complex(rng.standard_normal(), rng.standard_normal())
             out[i, j] = values[key]
     return out
+
+
+def run_fresh(script: str):
+    """Run ``script`` in a fresh interpreter with this package's ``src`` on
+    its path; the result is the JSON of its last line of output."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import signed_zero_correlation
+from conftest import run_fresh, signed_zero_correlation
 from ndspec import CorrelationSignal, load_ndcorr, save_ndcorr
 from ndspec.cli import main
 
@@ -566,3 +566,20 @@ class TestPipeline:
         assert run(["match", str(spec), str(corr),
                     "--out", str(tmp_path / "match.csv")]) == 0
         assert time.perf_counter() - started < 5.0
+
+
+def test_sequential_estimate_and_match_load_no_scipy(tmp_path):
+    # scipy serves only Capon's single inverse and the naming of a failing
+    # pivot; a fresh interpreter's sequential estimate and match import none of it
+    corr = gen_cube(tmp_path)
+    spectrum, report = str(tmp_path / "s.csv"), str(tmp_path / "m.csv")
+    script = (
+        "import json, sys\n"
+        "import ndspec.cli\n"
+        f"codes = [ndspec.cli.main(['estimate', {str(corr)!r}, '--grid', '8,8,8', "
+        f"'--out', {spectrum!r}]),\n"
+        f"         ndspec.cli.main(['match', {spectrum!r}, {str(corr)!r}, '--out', {report!r}])]\n"
+        "print(json.dumps([codes, 'scipy.linalg' in sys.modules, 'scipy' in sys.modules]))\n"
+    )
+    assert run_fresh(script) == [[0, 0], False, False]
+    assert (tmp_path / "s.csv").read_text().startswith("f_0,f_1,f_2,power\n")

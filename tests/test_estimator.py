@@ -1,4 +1,7 @@
+import importlib.util
+import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,12 +24,13 @@ from ndspec import (
     sequential_spectrum,
     synth_correlation,
 )
+import ndspec
 from ndspec import estimator, linalg
 from ndspec.errors import DimensionMismatch, NotPositiveDefinite, SizeMismatch
 from ndspec.grid import _phases
 from ndspec.estimator import (
     StageField,
-    _first_block_column,
+    _forward_predictor,
     _toeplitz_blocks,
     init_stage,
     stage_update,
@@ -67,6 +71,12 @@ def whole_axis_update(field, grid):
     summed = np.fft.ifft(field.blocks, n=count, axis=-3, norm="forward")
     full = summed @ g0_inv @ summed[..., :new_h, :].conj().swapaxes(-1, -2)
     return full.reshape(field.counts + (count, h // new_h, new_h, new_h))
+
+
+def first_block_column(c):
+    """The recursion's first block-column x P^{-1}."""
+    x, p_inv = _forward_predictor(c)
+    return x @ p_inv
 
 
 def update_peak(update, *args):
@@ -221,6 +231,14 @@ class TestFourierBlockSum:
             assert out[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
+# Orders and grids of the sweep checks: after the first three, 5 blocks
+# folded onto 4 and onto 3 frequencies, one-point axes, and chunks with a
+# shorter last chunk
+SWEEP_CASES = (((3, 2), (4, 5)), ((2, 3, 2), (3, 4, 5)), ((3, 3, 3), (4, 4, 4)),
+               ((2, 5), (3, 4)), ((5, 2), (3, 4)), ((3, 2), (1, 1)),
+               ((2, 3), (17, 33)), ((2, 2, 3), (9, 1, 17)))
+
+
 class TestStageUpdate:
     @pytest.mark.parametrize("count, n_blocks", [(1, 1), (1, 4), (2, 3), (5, 3), (7, 7),
                                                  (8, 10), (32, 4), (256, 16)])
@@ -306,12 +324,7 @@ class TestStageUpdate:
 
     def test_matches_direct_sum_reference(self):
         rng = np.random.default_rng(12)
-        # then: 5 blocks folded onto 4 and onto 3 frequencies, one-point
-        # axes, and chunks of 5 and 3 frequencies with a shorter last chunk
-        for gamma, counts in (((3, 2), (4, 5)), ((2, 3, 2), (3, 4, 5)),
-                              ((3, 3, 3), (4, 4, 4)), ((2, 5), (3, 4)),
-                              ((5, 2), (3, 4)), ((3, 2), (1, 1)),
-                              ((2, 3), (17, 33)), ((2, 2, 3), (9, 1, 17))):
+        for gamma, counts in SWEEP_CASES:
             c = random_correlation(rng, gamma)
             grid = SpectralGridSpec(counts)
             field = init_stage(invert_pd(assemble(c).entries), DimSpec(gamma))
@@ -339,6 +352,22 @@ class TestStageUpdate:
         whole_peak, whole = update_peak(whole_axis_update, field, grid)
         np.testing.assert_allclose(whole, out.blocks, rtol=1e-12)
         assert whole_peak > bound, (whole_peak, bound)
+
+    @pytest.mark.parametrize("gamma, counts", [((4, 4, 4), (32, 32, 32)),
+                                               ((10, 10, 10), (8, 8, 8))])
+    def test_benchmark_shapes_sweep_every_earlier_stage_in_one_chunk(self, gamma, counts):
+        # cube and wide: the budget covers each earlier stage's whole axis,
+        # and the last stage keeps chunks of ceil(C / 8)
+        spec, grid, d = DimSpec(gamma), SpectralGridSpec(counts), len(gamma)
+        for x in range(1, d + 1):
+            dim = d - x
+            h, new_h = math.prod(gamma[:dim]), math.prod(gamma[:max(dim - 1, 0)])
+            blocks = np.empty(counts[:dim:-1] + (gamma[dim], h, h), dtype=complex)
+            chunk = estimator._chunk(StageField(spec, x, blocks), grid, new_h)
+            if x < d:
+                assert chunk >= counts[dim], (x, chunk)
+            else:
+                assert chunk == -(-counts[0] // 8)
 
     def test_mid_sweep_failure_names_stage_and_point(self):
         # gamma = (2, 2) at stage 2: 1 x 1 zero blocks 1, -1, -2, 1 on a
@@ -391,7 +420,7 @@ class TestFirstBlockColumn:
         for _ in range(3):
             c = random_correlation(rng, gamma)
             dense = init_stage(invert_pd(assemble(c).entries), DimSpec(gamma)).blocks
-            blocks = _first_block_column(c)
+            blocks = first_block_column(c)
             assert blocks.shape == dense.shape
             assert np.max(np.abs(blocks - dense)) <= 1e-11 * np.max(np.abs(dense))
 
@@ -400,7 +429,7 @@ class TestFirstBlockColumn:
         for order in (1, 2, 4, 8, 16):
             c = random_correlation_1d(rng, order)
             res = levinson_1d(c)
-            column = _first_block_column(c)[:, 0, 0]
+            column = first_block_column(c)[:, 0, 0]
             expected = res.p / res.rho
             assert np.max(np.abs(column - expected)) <= 1e-13 * np.max(np.abs(expected))
 
@@ -431,9 +460,9 @@ class TestFirstBlockColumn:
         # the column x, the lag row and one backward product at a time, each
         # about gamma h^2 complex values, plus h x h temporaries
         c = random_correlation(np.random.default_rng(15), (10, 10, 10))
-        _first_block_column(c)
-        peak, blocks = update_peak(_first_block_column, c)
-        assert peak <= 4 * blocks.nbytes, peak / blocks.nbytes
+        _forward_predictor(c)
+        peak, (x, _) = update_peak(_forward_predictor, c)
+        assert peak <= 4 * x.nbytes, peak / x.nbytes
 
 
 class TestInvertLower:
@@ -469,7 +498,7 @@ class TestInvertLower:
             c = _lines(gamma, n_lines, noise, 3)
             r = assemble(c).entries
             dense = init_stage(invert_pd(r), DimSpec(gamma)).blocks
-            err = np.max(np.abs(_first_block_column(c) - dense)) / np.max(np.abs(dense))
+            err = np.max(np.abs(first_block_column(c) - dense)) / np.max(np.abs(dense))
             assert err <= 1e-12 * np.linalg.cond(r), (n_lines, noise, err)
 
 
@@ -581,6 +610,32 @@ class TestSequentialSpectrum:
             estimate = sequential_spectrum(c, grid)
             rel = np.max(np.abs(estimate.power - oracle.power) / oracle.power)
             assert rel < 1e-10
+
+    @pytest.mark.parametrize("order, count", [(1, 3), (3, 64), (16, 5), (16, 100)])
+    def test_1d_from_the_predictor_equals_levinson_oracle(self, order, count):
+        # stage 1 is the last: the predictor's Fourier sums through P^{-1},
+        # folded onto a short axis or taken in chunks of ceil(C / 8)
+        c = random_correlation_1d(np.random.default_rng(order * count), order)
+        grid = SpectralGridSpec((count,))
+        oracle = ar_spectrum_1d(levinson_1d(c), grid).power
+        power = sequential_spectrum(c, grid).power
+        assert np.max(np.abs(power - oracle) / oracle) < 1e-10
+
+    def test_stage_1_from_the_predictor_matches_the_dense_sweep(self):
+        # M_x P^{-1} M_x,top^H against the dense inverse's column swept with
+        # its zero block inverted at stage 1
+        rng = np.random.default_rng(12)
+        for gamma, counts in SWEEP_CASES:
+            c = random_correlation(rng, gamma)
+            grid = SpectralGridSpec(counts)
+            field = init_stage(invert_pd(assemble(c).entries), DimSpec(gamma))
+            for _ in gamma:
+                field = stage_update(field, grid)
+            dense = 1.0 / np.asarray(field.blocks[..., 0, 0, 0]).T
+            power = sequential_spectrum(c, grid).power
+            regular = dense < 1e9 * np.median(dense)
+            rel = np.abs(power - dense)[regular] / dense[regular]
+            assert np.max(rel) <= 1e-10, (gamma, np.max(rel))
 
     def test_white_noise_is_flat(self):
         c = synth_correlation(SpectralComposition(noise_var=0.1), (2, 2))
@@ -696,6 +751,35 @@ class TestSequentialSpectrum:
         assert peak <= 20 * grid.size, peak / grid.size
         assert s.power.flags.c_contiguous
 
+    def test_a_long_axis_before_the_last_stays_within_the_budget(self):
+        # gamma = (10, 10) on an (8, 4096) grid: stage 1 sweeps 4096
+        # frequencies, whose temporaries in chunks of ceil(C / 8) would
+        # exceed the last stage's
+        c = random_correlation(np.random.default_rng(22), (10, 10))
+        grid = SpectralGridSpec((8, 4096))
+        points, g, h = 4096, 10, 10
+        # the larger of the last stage's working set (8 B per cell of power,
+        # and a ceil(8 / 8)-frequency chunk of complex Fourier sums and their
+        # conjugates at every point) and the recursion's 3 gamma h^2 values
+        budget = max(8 * grid.size + 2 * 16 * points, 3 * 16 * g * h * h)
+        x, p_inv = _forward_predictor(c)
+        field = StageField(DimSpec((g, g)), 1, x, p_inv)
+        stage_update(field, grid)
+        peak, out = update_peak(stage_update, field, grid)
+        # besides its output and its (C, n_blocks) phase table, the stage's
+        # chunks hold the budget, give or take a few kB of array objects
+        held = peak - out.blocks.nbytes - _phases(points, np.arange(g)).nbytes
+        assert held <= budget + 2**12, (held, budget)
+        # the documented footprint: the power, the last stage's chunk
+        # temporaries, its input field and block-major copy (10 complex
+        # blocks at each point), and the recursion's values; its zero blocks'
+        # reciprocals, 16 B a point, are the rest
+        footprint = (8 * grid.size + 2 * 16 * points + 2 * 16 * g * points
+                     + 3 * 16 * g * h * h + 16 * points)
+        sequential_spectrum(c, grid)
+        peak, _ = update_peak(sequential_spectrum, c, grid)
+        assert peak <= footprint, (peak, footprint)
+
     def test_not_positive_definite_is_tagged(self):
         c = CorrelationSignal.from_forward_lags([0.5, 1.0])
         with pytest.raises(NotPositiveDefinite) as info:
@@ -715,8 +799,13 @@ class TestSequentialSpectrum:
     def test_cross_check_compares_the_recursion_with_the_dense_inverse(self, gamma, monkeypatch):
         c = random_correlation(np.random.default_rng(17), gamma)
         grid = SpectralGridSpec((4,) * len(gamma))
-        honest = estimator._first_block_column
-        monkeypatch.setattr(estimator, "_first_block_column", lambda c: honest(c) * (1 + 1e-6))
+        honest = estimator._forward_predictor
+
+        def perturbed(c):
+            x, p_inv = honest(c)
+            return x * (1 + 1e-6), p_inv
+
+        monkeypatch.setattr(estimator, "_forward_predictor", perturbed)
         sequential_spectrum(c, grid)
         with pytest.raises(ArithmeticError, match="first block-column"):
             sequential_spectrum(c, grid, cross_check_walking=True)
@@ -792,3 +881,29 @@ def test_every_refusal_source_pins_its_text_and_fields(source):
     assert str(exc) == text
     assert got[:2] + got[3:] == fields[:2] + fields[3:]
     assert got[2] == pytest.approx(fields[2], rel=1e-12)
+
+
+def _near_singular():
+    """The seeded near-singular corpus of scripts/near_singular.py."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "near_singular.py"
+    spec = importlib.util.spec_from_file_location("near_singular", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_near_singular_corpus_is_refused_where_the_dense_sweep_refuses():
+    # the first 16 inputs of each noise band: 19 of the 48 are refused, each
+    # by both paths at the same stage, grid point and pivot index; where both
+    # accept, the condition of these inputs leaves 5e-3 between the spectra
+    corpus = _near_singular()
+    rows = corpus.compare(((ndspec, corpus.dense_sweep), (ndspec, corpus.sequential)), 16)
+    refused = 0
+    for label, dense, sequential in rows:
+        if isinstance(dense, tuple) or isinstance(sequential, tuple):
+            refused += 1
+            assert isinstance(dense, tuple) and isinstance(sequential, tuple), label
+            assert dense[:3] == sequential[:3], label
+        else:
+            assert corpus.regular_difference(dense, sequential) <= 1e-2, label
+    assert (len(rows), refused) == (48, 19)

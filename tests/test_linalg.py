@@ -3,9 +3,9 @@ import threading
 
 import numpy as np
 import pytest
-import scipy
+import scipy.linalg
 
-from conftest import random_correlation, random_pd_matrix
+from conftest import random_correlation, random_pd_matrix, run_fresh
 from ndspec import (
     DimSpec,
     SpectralGridSpec,
@@ -222,6 +222,58 @@ class TestInvertPd:
         assert single.value.index == () and single.value.pivot_index == 0
 
 
+class TestInverseOverflow:
+    """A positive definite matrix whose inverse overflows is refused, not
+    returned as inf and not with a warning."""
+
+    TINY = np.array([[2e-310, 1e-310], [1e-310, 2e-310]])
+
+    @pytest.mark.parametrize("h, where", [
+        (TINY, ""),
+        (np.stack([np.eye(2), TINY, TINY]), " of matrix (1,)"),
+        (np.array([[1e-310]]), ""),
+        (np.array([[[1.0]], [[4.0]], [[1e-310]]]), " of matrix (2,)"),
+    ], ids=["single", "stack", "1x1", "1x1 stack"])
+    def test_refused_with_the_first_matrix_named(self, h, where):
+        with pytest.raises(OverflowError) as info:
+            invert_pd(h)
+        assert str(info.value) == f"the inverse{where} overflows the double range"
+
+    @pytest.mark.parametrize("h", [TINY * 1e10, np.stack([np.eye(2), TINY * 1e10]),
+                                   np.array([[1e-300]]), np.array([[[1.0]], [[1e-300]]])],
+                             ids=["single", "stack", "1x1", "1x1 stack"])
+    def test_representable_inverse_is_returned(self, h):
+        inv = invert_pd(h)
+        np.testing.assert_allclose(inv @ h, np.broadcast_to(np.eye(h.shape[-1]), h.shape),
+                                   atol=1e-12)
+
+
+_FIRST_INVERSE = """
+import json, sys, types
+import numpy as np
+from ndspec import invert_pd, linalg
+
+pools = [linalg._openblas_calls(package) for package in ("numpy", "scipy")]
+for _, put in pools:
+    put(2)
+loaded, real, seen = "scipy.linalg" in sys.modules, linalg._lapack, []
+
+def spying():
+    lapack = real()
+
+    def zpotri(*args, **kwargs):
+        seen.append([get() for get, _ in pools])
+        return lapack.zpotri(*args, **kwargs)
+
+    return types.SimpleNamespace(zpotri=zpotri)
+
+linalg._lapack = spying
+h = np.array([[2.0, 1.0], [1.0, 2.0]])
+np.testing.assert_allclose(invert_pd(h), np.linalg.inv(h), rtol=1e-14)
+print(json.dumps([loaded, seen, [get() for get, _ in pools]]))
+"""
+
+
 class TestOneBlasThread:
     @staticmethod
     def fake(count):
@@ -319,6 +371,14 @@ class TestOneBlasThread:
         assert linalg._openblas_calls(package) is not None
         return linalg._openblas_calls(package)[0]
 
+    def test_first_inverse_of_a_process_pins_both_libraries(self):
+        # scipy is first imported inside invert_pd's pin, which then pins
+        # scipy's OpenBLAS too before the first zpotri; both pools start at
+        # 2 threads and are restored to 2
+        self.openblas_get("numpy", getattr(np.__config__, "CONFIG", {}))
+        self.openblas_get("scipy", scipy.show_config(mode="dicts"))
+        assert run_fresh(_FIRST_INVERSE) == [False, [[1, 1]], [2, 2]]
+
     def test_sweep_runs_on_one_thread(self, monkeypatch):
         get = self.openblas_get("numpy", getattr(np.__config__, "CONFIG", {}))
         before, seen = get(), {"factor": [], "inverse": [], "fourier sum": []}
@@ -337,17 +397,19 @@ class TestOneBlasThread:
         monkeypatch.setattr(np.linalg, "cholesky",
                             lambda a: seen["factor"].append(get()) or factor(a))
         monkeypatch.setattr(np.linalg, "inv", lambda a: seen["inverse"].append(get()) or inverse(a))
-        monkeypatch.setattr(estimator, "StageField", lambda spec, stage, blocks: stage_field(
-            spec, stage, blocks.view(CountedBlocks)))
+        monkeypatch.setattr(estimator, "StageField", lambda spec, stage, blocks, *weight: (
+            stage_field(spec, stage, blocks.view(CountedBlocks), *weight)))
         rng = np.random.default_rng(16)
         sequential_spectrum(random_correlation(rng, (2, 3)), SpectralGridSpec((4, 5)))
         # one factorization and one triangular inverse per recursion order
-        # (gamma_1 = 3, h = 2); stage 1 factors its one 2 x 2 zero block, and
-        # stage 2's 1 x 1 blocks take a reciprocal; then one Fourier-sum GEMM
-        # per chunk of each swept axis; a chunk holds ceil(C / 8)
-        # frequencies, one on these axes of 5 and 4 points
+        # (gamma_1 = 3, h = 2); stage 1 sweeps the predictor with the known
+        # P^{-1} and factors nothing, and stage 2's 1 x 1 blocks take a
+        # reciprocal; then one Fourier-sum GEMM per chunk of each swept
+        # axis: stage 1's 5 frequencies in chunks of 4 (128 B of temporaries
+        # each within the recursion's 576 B), the last stage's 4 in chunks
+        # of ceil(4 / 8) = 1
         assert {name: len(counts) for name, counts in seen.items()} == {
-            "factor": 3 + 1, "inverse": 3, "fourier sum": 5 + 4}
+            "factor": 3, "inverse": 3, "fourier sum": 2 + 4}
         assert set(sum(seen.values(), [])) == {1}
         assert get() == before
 
@@ -374,13 +436,13 @@ class TestOneBlasThread:
     def test_single_inverse_pins_both_libraries(self, monkeypatch):
         get_numpy = self.openblas_get("numpy", getattr(np.__config__, "CONFIG", {}))
         get_scipy = self.openblas_get("scipy", scipy.show_config(mode="dicts"))
-        inverse, seen = linalg.zpotri, []
+        inverse, seen = scipy.linalg.lapack.zpotri, []
 
         def spy(*args, **kwargs):
             seen.append((get_numpy(), get_scipy()))
             return inverse(*args, **kwargs)
 
-        monkeypatch.setattr(linalg, "zpotri", spy)
+        monkeypatch.setattr(scipy.linalg.lapack, "zpotri", spy)
         h = random_pd_matrix(np.random.default_rng(17), 6)
         original = [(put, get()) for get, put in linalg._openblas_threads()]
         try:
