@@ -15,9 +15,10 @@ of 10^U(lo, hi) times the total line power, with (lo, hi) = (-11, -10),
 drawn per band (400 by default), each estimated on an 8^d grid.
 
 Without ``--base`` the script compares this tree's ``sequential_spectrum``
-with its dense oracle: the assembled matrix inverted by ``invert_pd``,
-then every stage by ``stage_update``, with the zero blocks inverted at
-each stage, on the same unit-scale lags. With ``--base`` it compares the
+with its dense oracle, ``ndspec.oracle.dense_sweep``: the assembled
+matrix inverted by ``invert_pd``, then every stage by ``stage_update``,
+with the zero blocks inverted at each stage, on the same unit-scale
+lags. With ``--base`` it compares the
 ``sequential_spectrum`` of the tree at BASE_ROOT (base) with this tree's
 (change). It prints the refusals that agree on stage, grid point and
 pivot index, the pivot values among them that differ, every input that
@@ -27,6 +28,7 @@ spectra at cells below 1e9 times the median, by input.
 """
 
 import argparse
+import importlib
 import sys
 from pathlib import Path
 
@@ -56,29 +58,16 @@ def corpus_input(nd, band: int, index: int):
     return gamma, nd.synth_correlation(comp, gamma)
 
 
-def dense_sweep(nd, c, grid):
-    """Power from the dense inverse swept stage by stage: the oracle path,
-    on the unit-scale lags as ``sequential_spectrum`` runs."""
-    k, unit = c._unit_scaled()
-    try:
-        r_inv = nd.invert_pd(nd.assemble(unit).entries)
-    except nd.NotPositiveDefinite as exc:
-        raise exc.tagged(1, ())._scaled(k) from exc
-    field = nd.estimator.init_stage(r_inv, nd.DimSpec(c.gamma))
-    try:
-        for _ in c.gamma:
-            field = nd.estimator.stage_update(field, grid)
-    except nd.NotPositiveDefinite as exc:
-        raise exc._scaled(-k) from exc
-    return 2.0**k / np.asarray(field.blocks[..., 0, 0, 0]).T * 2.0**k
-
-
 def outcome(estimate, nd, c, grid):
     """The power, or the refusal as (stage, grid point, pivot index, value)."""
     try:
         return estimate(nd, c, grid)
     except nd.NotPositiveDefinite as exc:
         return exc.stage, exc.frequency, exc.pivot_index, exc.pivot_value
+
+
+def dense(nd, c, grid):
+    return importlib.import_module(f"{nd.__name__}.oracle").dense_sweep(c, grid)
 
 
 def sequential(nd, c, grid):
@@ -147,7 +136,7 @@ def main():
         sys.path.insert(0, str(ROOT / "src"))
         import ndspec as nd
 
-        sides, names = ((nd, dense_sweep), (nd, sequential)), ("dense", "sequential")
+        sides, names = ((nd, dense), (nd, sequential)), ("dense", "sequential")
     else:
         from ab_estimate import import_tree
 

@@ -36,7 +36,10 @@ In one dimension the sweep reproduces the classical autoregressive
 (maximum entropy) spectrum of the lag sequence exactly: the first column
 of the inverse is the normalized prediction polynomial over its error
 power, which makes the Levinson recursion an independent oracle for the
-whole pipeline.
+whole pipeline. The dense oracle, the assembled matrix inverted and its
+first block-column swept by ``stage_update``, and the check of the
+recursion against it are in ``ndspec.oracle``, which the estimator does
+not import.
 """
 
 from __future__ import annotations
@@ -46,10 +49,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .correlation import CorrelationSignal, _lag_gather, assemble
-from .errors import DimensionMismatch, NotPositiveDefinite, SizeMismatch
-from .grid import SpectralGridSpec, SpectrumEstimate, _phases
-from .indexing import DimSpec, Nesting, apply_walking, walking_map
+from .correlation import CorrelationSignal, _lag_gather
+from .errors import DimensionMismatch, NotPositiveDefinite
+from .grid import SpectralGridSpec, SpectrumEstimate, _phases, _roots
+from .indexing import DimSpec, Nesting
 from .linalg import PD_PIVOT_REL, _cholesky, _invert_lower, invert_pd, one_blas_thread
 
 
@@ -131,7 +134,9 @@ class StageField:
     by default it is the inverse of the zero blocks, which the stage
     computes. The recursion's field holds the predictor x and its known
     weight P^{-1}: the first block-column x P^{-1} stored with an identity
-    zero block, whose congruence M_x P^{-1} M_x,top^H is the column's.
+    zero block, whose congruence M_x P^{-1} M_x,top^H is the column's. The
+    dense oracle's stage-1 field (``ndspec.oracle.init_stage``) holds the
+    first block-column itself and no weight.
     """
 
     spec: DimSpec
@@ -153,42 +158,31 @@ class StageField:
         return self.blocks.shape[-3]
 
 
-def init_stage(r_inv, spec: DimSpec) -> StageField:
-    """Stage-1 field: the first block-column of the inverted matrix.
-
-    Block k of size q/gamma_{d-1} is read at block-row k, block-column 0
-    along the stride of the slowest dimension.
-    """
-    a = np.asarray(r_inv, dtype=complex)
-    if a.shape != (spec.q, spec.q):
-        raise SizeMismatch(f"inverse shape {a.shape}, expected {(spec.q,) * 2}")
-    g_last = spec.gamma[-1]
-    h = spec.q // g_last
-    blocks = np.stack([a[k * h:(k + 1) * h, 0:h] for k in range(g_last)])
-    return StageField(spec, 1, blocks)
-
-
 def _chunk(field: StageField, grid: SpectralGridSpec, new_h: int) -> int:
     """New-axis frequencies per chunk of the field's stage.
 
     The last stage takes ceil(C / 8) of its C frequencies. An earlier
     stage takes as many as keep its temporaries (the chunk's Fourier sums
-    and the two h x new_h factors of its congruence, at every point)
-    within one byte budget: the larger of the last stage's working set,
-    the power and its chunk temporaries, and the recursion's ~3
-    gamma_{d-1} h^2 complex values. Both are in the estimate's footprint
-    already, so no stage holds more than the estimate does.
+    and the two h x new_h factors of its congruence, at every point),
+    beside its C roots of unity, within one byte budget: the larger of
+    the last stage's working set, the power, its roots and its chunk
+    temporaries, and the recursion's ~3 gamma_{d-1} h^2 complex values.
+    Both are in the estimate's footprint already, so no stage holds more
+    than the estimate does.
     """
     spec, counts, h = field.spec, grid.counts, field.block_size
     last_chunk = -(-counts[0] // 8)
     if field.stage == spec.d:
         return last_chunk
     complex_bytes, g = 16, spec.gamma[-1]
-    # the last stage's chunk holds its Fourier sums and their conjugates
-    last_stage = 8 * grid.size + 2 * complex_bytes * last_chunk * math.prod(counts[1:])
+    # the last stage holds its roots of unity, and its chunk the Fourier
+    # sums and their conjugates
+    last_stage = 8 * grid.size + complex_bytes * (
+        counts[0] + 2 * last_chunk * math.prod(counts[1:]))
     recursion = 3 * complex_bytes * g * (spec.q // g) ** 2
+    roots = complex_bytes * counts[spec.d - field.stage]
     per_frequency = complex_bytes * math.prod(field.counts) * (h * h + 2 * h * new_h)
-    return max(1, max(last_stage, recursion) // per_frequency)
+    return max(1, (max(last_stage, recursion) - roots) // per_frequency)
 
 
 @one_blas_thread
@@ -197,14 +191,15 @@ def stage_update(field: StageField, grid: SpectralGridSpec) -> StageField:
     one stacked call (a reciprocal when they are 1 x 1), unless the field
     carries their weight, and copy the blocks once, block-major, into one
     (n_blocks, points h h) matrix. Per chunk of the new axis (``_chunk``),
-    one GEMM with phases of (m k mod C) / C of a turn then gives the block
-    Fourier sums M(w_m) = sum_k G(k) e^{j k w_m} at every point, folding
-    k >= C exactly, and one batched product the congruences
-    M ([G(0)]^{-1} M_top^H), where M_top holds the rows of the next stage's
-    first block-column (a scalar at the last stage). They are written
-    through a frequency-major view of the output; the last stage writes
-    only the scalars' real parts, into a float array in grid order
-    m_0..m_{d-1} that the finished field views transposed.
+    one GEMM with the chunk's rows of the phase table, (m k mod C) / C of
+    a turn read from the C roots of unity that the stage computes once,
+    then gives the block Fourier sums M(w_m) = sum_k G(k) e^{j k w_m} at
+    every point, folding k >= C exactly, and one batched product the
+    congruences M ([G(0)]^{-1} M_top^H), where M_top holds the rows of the
+    next stage's first block-column (a scalar at the last stage). They
+    are written through a frequency-major view of the output; the last
+    stage writes only the scalars' real parts, into a float array in grid
+    order m_0..m_{d-1} that the finished field views transposed.
     NotPositiveDefinite is re-raised tagged with the stage and the first
     processed grid point, in C order, whose zero block failed.
     """
@@ -224,7 +219,7 @@ def stage_update(field: StageField, grid: SpectralGridSpec) -> StageField:
     new_h = h // spec.gamma[dim - 1] if x < d else 1
     # row k holds G(k) at every point: one copy per stage, not per chunk
     flat = np.moveaxis(field.blocks, -3, 0).reshape(n_blocks, -1)
-    phases = _phases(count, np.arange(n_blocks))
+    roots, lags = _roots(count), np.arange(n_blocks)
     if x < d:
         out = np.empty(field.counts + (count, h, new_h), dtype=complex)
     else:  # real scalars, stored in grid order m_0..m_{d-1} and transposed here
@@ -233,7 +228,9 @@ def stage_update(field: StageField, grid: SpectralGridSpec) -> StageField:
     step = _chunk(field, grid, new_h)
     for start in range(0, count, step):
         stop = min(start + step, count)
-        summed = (phases[start:stop] @ flat).reshape((stop - start,) + field.counts + (h, h))
+        phases = _phases(count, lags, np.arange(start, stop), roots)
+        summed = (phases @ flat).reshape((stop - start,) + field.counts + (h, h))
+        del phases  # the chunk's rows only, and not held through its congruence
         kept = by_frequency[start:stop]
         if h > 1:
             np.matmul(summed, weight @ summed[..., :new_h, :].conj().swapaxes(-1, -2), out=kept)
@@ -316,47 +313,14 @@ def _forward_predictor(c: CorrelationSignal) -> tuple[np.ndarray, np.ndarray]:
     return x, q_inv[::-1, ::-1].conj()
 
 
-def _cross_check(c: CorrelationSignal, blocks: np.ndarray, tol: float = 1e-8) -> None:
-    """Dense inverse against the recursion's blocks, and (d > 1) the
-    inverse under the reversed nesting walked back against the dense one."""
-    spec = DimSpec(c.gamma)
-    try:
-        r_inv = invert_pd(assemble(c).entries)
-    except NotPositiveDefinite as exc:
-        raise exc.tagged(1, ()) from exc
-    dense = init_stage(r_inv, spec).blocks
-    err = float(np.max(np.abs(dense - blocks)))
-    if err > tol * float(np.max(np.abs(dense))):
-        raise ArithmeticError(
-            f"recursion's first block-column deviates from the dense inverse by {err:.3g}"
-        )
-    if spec.d == 1:
-        return
-    reversed_nesting = Nesting(tuple(reversed(range(spec.d))))
-    alt_inv = invert_pd(assemble(c, reversed_nesting).entries)
-    walked = apply_walking(alt_inv, walking_map(spec, reversed_nesting,
-                                                Nesting.identity(spec.d)))
-    scale = float(np.max(np.abs(r_inv)))
-    err = float(np.max(np.abs(walked - r_inv)))
-    if err > tol * scale:
-        raise ArithmeticError(
-            f"walked inverse deviates from the direct inverse by {err:.3g}"
-        )
-
-
 @one_blas_thread
-def sequential_spectrum(c: CorrelationSignal, grid: SpectralGridSpec,
-                        cross_check_walking: bool = False) -> SpectrumEstimate:
+def sequential_spectrum(c: CorrelationSignal, grid: SpectralGridSpec) -> SpectrumEstimate:
     """Full sweep over all dimensions; returns S = 1 / G_final on the grid.
 
     The block Levinson recursion over the slowest dimension gives the
     forward predictor and the inverse of its error, which stage 1 sweeps
     as they are, with no inversion; each dimension is then converted to
-    an explicit frequency axis from the highest label down. With
-    ``cross_check_walking`` the matrix is also assembled and inverted
-    densely under the identity and the reversed nesting; the reversed
-    inverse is walked back and both must agree with the recursion's
-    first block-column x P^{-1}.
+    an explicit frequency axis from the highest label down.
 
     The power is formed in place in the last stage's grid-ordered array,
     so it is C-contiguous and no transposed copy is made. The recursion
@@ -376,8 +340,6 @@ def sequential_spectrum(c: CorrelationSignal, grid: SpectralGridSpec,
     k, unit = c._unit_scaled()
     try:
         x, p_inv = _forward_predictor(unit)
-        if cross_check_walking:
-            _cross_check(unit, x @ p_inv)
     except NotPositiveDefinite as exc:  # pivots of the matrix times 4^-k
         raise exc._scaled(k) from exc
     field = StageField(spec, 1, x, p_inv)

@@ -58,14 +58,23 @@ class SpectrumEstimate:
             raise ValueError("power values must be finite and strictly positive")
 
 
-def _phases(count: int, lags) -> np.ndarray:
-    """(count, len(lags)) table of e^{+j 2 pi m t / count}, m = 0..count-1.
+def _roots(count: int) -> np.ndarray:
+    """The count roots of unity e^{+j 2 pi m / count}, m = 0..count-1."""
+    return np.exp(2j * np.pi / count * np.arange(count))
 
-    m t is reduced to whole turns, mod count, before the lookup, so every
+
+def _phases(count: int, lags, rows=None, roots=None) -> np.ndarray:
+    """(len(rows), len(lags)) table of e^{+j 2 pi m t / count}, m in ``rows``
+    (all of 0..count-1 by default).
+
+    m t is reduced to whole turns, mod count, by the lookup, so every
     entry is one of the count roots of unity as computed once and the
     table is exactly periodic in t: lags at or beyond the grid alias onto
-    the same column values. Every transform between a lag box and a grid
-    reads its phases from here.
+    the same column values, and a few rows at a time equal the whole
+    table's. A caller that forms it so passes ``roots``, its
+    ``_roots(count)`` computed once. Every transform between a lag box and
+    a grid reads its phases from here.
     """
-    m = np.arange(count)
-    return np.exp(2j * np.pi / count * m)[np.outer(m, lags) % count]
+    m = np.arange(count) if rows is None else rows
+    roots = _roots(count) if roots is None else roots
+    return roots.take(np.multiply.outer(m, lags), mode="wrap")

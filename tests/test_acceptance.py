@@ -24,20 +24,19 @@ from ndspec import (
     SpectralGridSpec,
     apply_walking,
     ar_spectrum_1d,
-    assemble,
     correlation_match,
     cost_report,
     estimate_correlation,
     has_toeplitz_character,
-    invert_pd,
     levinson_1d,
     sequential_spectrum,
     synth_correlation,
     walking_map,
 )
 from ndspec.baselines import capon_cost
-from ndspec.estimator import init_stage, stage_update
+from ndspec.estimator import stage_update
 from ndspec.linalg import cholesky
+from ndspec.oracle import dense_column
 
 CUBE_COMPOSITION = SpectralComposition(
     peaks=(((0.1, 0.3, 0.7), 1.0), ((0.1, 0.6, 0.2), 1.0)),
@@ -193,7 +192,7 @@ def test_criterion_6_structural_property_suite():
     for gamma in [(2, 3), (2, 2, 2)]:
         c = random_correlation(rng, gamma)
         grid = SpectralGridSpec((4,) * len(gamma))
-        field = init_stage(invert_pd(assemble(c).entries), DimSpec(gamma))
+        field = dense_column(c)
         try:
             for _ in range(len(gamma)):
                 for point in np.ndindex(*field.counts):

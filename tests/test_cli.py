@@ -570,7 +570,8 @@ class TestPipeline:
 
 def test_sequential_estimate_and_match_load_no_scipy(tmp_path):
     # scipy serves only Capon's single inverse and the naming of a failing
-    # pivot; a fresh interpreter's sequential estimate and match import none of it
+    # pivot, and ndspec.oracle only tests and scripts; a fresh interpreter's
+    # sequential estimate and match import none of them
     corr = gen_cube(tmp_path)
     spectrum, report = str(tmp_path / "s.csv"), str(tmp_path / "m.csv")
     script = (
@@ -579,7 +580,8 @@ def test_sequential_estimate_and_match_load_no_scipy(tmp_path):
         f"codes = [ndspec.cli.main(['estimate', {str(corr)!r}, '--grid', '8,8,8', "
         f"'--out', {spectrum!r}]),\n"
         f"         ndspec.cli.main(['match', {spectrum!r}, {str(corr)!r}, '--out', {report!r}])]\n"
-        "print(json.dumps([codes, 'scipy.linalg' in sys.modules, 'scipy' in sys.modules]))\n"
+        "print(json.dumps([codes, 'scipy.linalg' in sys.modules, 'scipy' in sys.modules,\n"
+        "                  'ndspec.oracle' in sys.modules]))\n"
     )
-    assert run_fresh(script) == [[0, 0], False, False]
+    assert run_fresh(script) == [[0, 0], False, False, False]
     assert (tmp_path / "s.csv").read_text().startswith("f_0,f_1,f_2,power\n")

@@ -27,15 +27,15 @@ from ndspec import (
 import ndspec
 from ndspec import estimator, linalg
 from ndspec.errors import DimensionMismatch, NotPositiveDefinite, SizeMismatch
-from ndspec.grid import _phases
+from ndspec.grid import _phases, _roots
 from ndspec.estimator import (
     StageField,
     _forward_predictor,
     _toeplitz_blocks,
-    init_stage,
     stage_update,
 )
 from ndspec.linalg import cholesky
+from ndspec.oracle import cross_check, dense_column, dense_sweep, init_stage
 
 
 def reference_update(field, grid):
@@ -180,8 +180,7 @@ class TestInitStage:
 
     def test_diagonal_inverse_gives_zero_cross_blocks(self):
         c = synth_correlation(SpectralComposition(noise_var=0.25), (2, 3))
-        r_inv = invert_pd(assemble(c).entries)
-        field = init_stage(r_inv, DimSpec((2, 3)))
+        field = dense_column(c)
         assert field.blocks.shape == (3, 2, 2)
         np.testing.assert_allclose(field.blocks[0], 4.0 * np.eye(2), rtol=1e-12)
         assert np.all(field.blocks[1] == 0.0)
@@ -190,10 +189,8 @@ class TestInitStage:
     def test_blocks_match_brute_force_inverse(self):
         rng = np.random.default_rng(2)
         c = random_correlation(rng, (2, 2))
-        entries = assemble(c).entries
-        r_inv = invert_pd(entries)
-        oracle = np.linalg.inv(entries)
-        field = init_stage(r_inv, DimSpec((2, 2)))
+        oracle = np.linalg.inv(assemble(c).entries)
+        field = dense_column(c)
         np.testing.assert_allclose(field.blocks[0], oracle[0:2, 0:2], atol=1e-10)
         np.testing.assert_allclose(field.blocks[1], oracle[2:4, 0:2], atol=1e-10)
 
@@ -206,14 +203,14 @@ class TestFourierBlockSum:
     def test_zero_index_is_plain_sum(self):
         rng = np.random.default_rng(3)
         c = random_correlation(rng, (3, 2))
-        field = init_stage(invert_pd(assemble(c).entries), DimSpec((3, 2)))
+        field = dense_column(c)
         out = block_sum(field, 0, 8)
         np.testing.assert_allclose(out, field.blocks.sum(axis=0), rtol=1e-14)
 
     def test_single_block_is_constant_in_frequency(self):
         rng = np.random.default_rng(4)
         c = random_correlation(rng, (3, 1))
-        field = init_stage(invert_pd(assemble(c).entries), DimSpec((3, 1)))
+        field = dense_column(c)
         assert field.n_blocks == 1
         for m in range(4):
             np.testing.assert_allclose(block_sum(field, m, 4), field.blocks[0],
@@ -223,7 +220,7 @@ class TestFourierBlockSum:
         # first-column identity: G(k) = p_k / rho
         c = CorrelationSignal.from_forward_lags([1.0, 0.5])
         res = levinson_1d(c)
-        field = init_stage(invert_pd(assemble(c).entries), DimSpec((2,)))
+        field = dense_column(c)
         for m in range(8):
             w = 2.0 * np.pi * m / 8.0
             expected = (1.0 + res.p[1] * np.exp(1j * w)) / res.rho
@@ -244,17 +241,20 @@ class TestStageUpdate:
                                                  (8, 10), (32, 4), (256, 16)])
     def test_phase_table_is_the_sweeps_expression(self, count, n_blocks):
         # the sweep's spectra stay bit for bit what they were before the
-        # phases moved into one helper shared with Capon and matching
-        m = np.arange(count)
-        inline = np.exp(2j * np.pi / count * m)[np.outer(m, np.arange(n_blocks)) % count]
-        assert np.array_equal(_phases(count, np.arange(n_blocks)), inline)
+        # phases moved into one helper shared with Capon and matching, and
+        # before the sweep formed them three rows (a chunk's) at a time
+        m, lags = np.arange(count), np.arange(n_blocks)
+        inline = np.exp(2j * np.pi / count * m)[np.outer(m, lags) % count]
+        assert np.array_equal(_phases(count, lags), inline)
+        roots = _roots(count)
+        chunks = [_phases(count, lags, m[start:start + 3], roots) for start in range(0, count, 3)]
+        assert np.array_equal(np.concatenate(chunks), inline)
 
     def test_1d_final_stage_holds_spectral_inverse(self):
         c = CorrelationSignal.from_forward_lags([1.0, 0.5])
         res = levinson_1d(c)
         grid = SpectralGridSpec((8,))
-        field = stage_update(init_stage(invert_pd(assemble(c).entries), DimSpec((2,))),
-                             grid)
+        field = stage_update(dense_column(c), grid)
         assert field.stage == 2
         assert field.counts == (8,)
         assert field.blocks.shape == (8, 1, 1, 1)
@@ -267,7 +267,7 @@ class TestStageUpdate:
         var = 0.25
         c = synth_correlation(SpectralComposition(noise_var=var), (2, 2, 2))
         grid = SpectralGridSpec((4, 4, 4))
-        field = init_stage(invert_pd(assemble(c).entries), DimSpec((2, 2, 2)))
+        field = dense_column(c)
         for expected_h in (2, 1):
             field = stage_update(field, grid)
             h = field.block_size
@@ -286,8 +286,7 @@ class TestStageUpdate:
         c1 = random_correlation_1d(rng, 2)
         c = separable_correlation([c0, c1])
         grid = SpectralGridSpec((8, 8))
-        field = stage_update(init_stage(invert_pd(assemble(c).entries), DimSpec((2, 2))),
-                             grid)
+        field = stage_update(dense_column(c), grid)
         res1 = levinson_1d(c1)
         inv0 = np.linalg.inv(assemble(c0).entries)
         w = grid.angular(1)
@@ -304,7 +303,7 @@ class TestStageUpdate:
     def test_raw_congruence_is_hermitian_before_symmetrization(self):
         rng = np.random.default_rng(6)
         c = random_correlation(rng, (2, 3))
-        field = init_stage(invert_pd(assemble(c).entries), DimSpec((2, 3)))
+        field = dense_column(c)
         g0_inv = invert_pd(field.blocks[0])
         for m in range(6):
             summed = block_sum(field, m, 6)
@@ -315,7 +314,7 @@ class TestStageUpdate:
     def test_final_scalar_is_real_before_symmetrization(self):
         rng = np.random.default_rng(7)
         c = random_correlation_1d(rng, 4)
-        field = init_stage(invert_pd(assemble(c).entries), DimSpec((4,)))
+        field = dense_column(c)
         g0_inv = invert_pd(field.blocks[0])
         for m in range(8):
             summed = block_sum(field, m, 8)
@@ -327,7 +326,7 @@ class TestStageUpdate:
         for gamma, counts in SWEEP_CASES:
             c = random_correlation(rng, gamma)
             grid = SpectralGridSpec(counts)
-            field = init_stage(invert_pd(assemble(c).entries), DimSpec(gamma))
+            field = dense_column(c)
             for _ in gamma:
                 expected = reference_update(field, grid)
                 field = stage_update(field, grid)
@@ -407,8 +406,7 @@ class TestStageUpdate:
     def test_rejects_update_after_completion(self):
         c = CorrelationSignal.from_forward_lags([1.0, 0.5])
         grid = SpectralGridSpec((4,))
-        field = stage_update(init_stage(invert_pd(assemble(c).entries), DimSpec((2,))),
-                             grid)
+        field = stage_update(dense_column(c), grid)
         with pytest.raises(ValueError):
             stage_update(field, grid)
 
@@ -419,7 +417,7 @@ class TestFirstBlockColumn:
         rng = np.random.default_rng(sum(gamma) * len(gamma))
         for _ in range(3):
             c = random_correlation(rng, gamma)
-            dense = init_stage(invert_pd(assemble(c).entries), DimSpec(gamma)).blocks
+            dense = dense_column(c).blocks
             blocks = first_block_column(c)
             assert blocks.shape == dense.shape
             assert np.max(np.abs(blocks - dense)) <= 1e-11 * np.max(np.abs(dense))
@@ -496,10 +494,9 @@ class TestInvertLower:
         assert h > linalg._TRIANGULAR_LEAF
         for n_lines, noise in ((h // 2, 1e-8), (2 * h, 1e-9)):
             c = _lines(gamma, n_lines, noise, 3)
-            r = assemble(c).entries
-            dense = init_stage(invert_pd(r), DimSpec(gamma)).blocks
+            dense = dense_column(c).blocks
             err = np.max(np.abs(first_block_column(c) - dense)) / np.max(np.abs(dense))
-            assert err <= 1e-12 * np.linalg.cond(r), (n_lines, noise, err)
+            assert err <= 1e-12 * np.linalg.cond(assemble(c).entries), (n_lines, noise, err)
 
 
 def _lines(gamma, n_lines, noise, seed):
@@ -628,10 +625,7 @@ class TestSequentialSpectrum:
         for gamma, counts in SWEEP_CASES:
             c = random_correlation(rng, gamma)
             grid = SpectralGridSpec(counts)
-            field = init_stage(invert_pd(assemble(c).entries), DimSpec(gamma))
-            for _ in gamma:
-                field = stage_update(field, grid)
-            dense = 1.0 / np.asarray(field.blocks[..., 0, 0, 0]).T
+            dense = dense_sweep(c, grid)
             power = sequential_spectrum(c, grid).power
             regular = dense < 1e9 * np.median(dense)
             rel = np.abs(power - dense)[regular] / dense[regular]
@@ -766,9 +760,10 @@ class TestSequentialSpectrum:
         field = StageField(DimSpec((g, g)), 1, x, p_inv)
         stage_update(field, grid)
         peak, out = update_peak(stage_update, field, grid)
-        # besides its output and its (C, n_blocks) phase table, the stage's
-        # chunks hold the budget, give or take a few kB of array objects
-        held = peak - out.blocks.nbytes - _phases(points, np.arange(g)).nbytes
+        # besides its output, the stage holds the budget, its chunks' phase
+        # rows and roots of unity included, give or take a few kB of array
+        # objects
+        held = peak - out.blocks.nbytes
         assert held <= budget + 2**12, (held, budget)
         # the documented footprint: the power, the last stage's chunk
         # temporaries, its input field and block-major copy (10 complex
@@ -788,12 +783,11 @@ class TestSequentialSpectrum:
         assert info.value.frequency == ()
 
     def test_walking_cross_check_agrees(self):
+        # the recursion's column against the dense inverse's, and the
+        # reversed nesting's inverse walked back against the direct one
         rng = np.random.default_rng(11)
         c = random_correlation(rng, (2, 3))
-        grid = SpectralGridSpec((5, 5))
-        checked = sequential_spectrum(c, grid, cross_check_walking=True)
-        plain = sequential_spectrum(c, grid)
-        assert np.array_equal(checked.power, plain.power)
+        cross_check(c, tol=1e-8)
 
     @pytest.mark.parametrize("gamma", [(3,), (2, 3)])
     def test_cross_check_compares_the_recursion_with_the_dense_inverse(self, gamma, monkeypatch):
@@ -808,7 +802,7 @@ class TestSequentialSpectrum:
         monkeypatch.setattr(estimator, "_forward_predictor", perturbed)
         sequential_spectrum(c, grid)
         with pytest.raises(ArithmeticError, match="first block-column"):
-            sequential_spectrum(c, grid, cross_check_walking=True)
+            cross_check(c, tol=1e-8)
 
 
 _INDEFINITE = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -897,7 +891,7 @@ def test_near_singular_corpus_is_refused_where_the_dense_sweep_refuses():
     # by both paths at the same stage, grid point and pivot index; where both
     # accept, the condition of these inputs leaves 5e-3 between the spectra
     corpus = _near_singular()
-    rows = corpus.compare(((ndspec, corpus.dense_sweep), (ndspec, corpus.sequential)), 16)
+    rows = corpus.compare(((ndspec, corpus.dense), (ndspec, corpus.sequential)), 16)
     refused = 0
     for label, dense, sequential in rows:
         if isinstance(dense, tuple) or isinstance(sequential, tuple):
