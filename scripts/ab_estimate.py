@@ -17,7 +17,8 @@ operations are the benchmark's: ``estimate`` is ``sequential_spectrum``
 own sequential spectrum. Calls of the two trees alternate, which goes
 first alternates too, and a garbage collection runs before each call, as
 in the benchmark. For each workload and seed it prints each side's
-median and quartiles in ms, the pairs the change won, and the largest
+median and quartiles in ms, the pairs the change won, each side's
+tracemalloc peak of one untimed call after the timed pairs, and the largest
 relative difference of the two outputs: for ``estimate`` at the cells
 below 1e9 times the base's median and, separately, at the line cells
 above it, whose last digits no evaluation order keeps; for ``capon``
@@ -31,6 +32,7 @@ import gc
 import importlib.util
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -72,6 +74,17 @@ def timed(call):
     return time.perf_counter() - started, out
 
 
+def peak_mb(call):
+    """tracemalloc peak of one untimed call, in MB."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def quartiles_ms(samples):
     return tuple(1e3 * v for v in np.percentile(samples, [25, 50, 75]))
 
@@ -90,7 +103,9 @@ def compare(trees, workloads, op, name, seed, pairs, toy):
     (bq1, bmed, bq3), (cq1, cmed, cq3) = quartiles_ms(base), quartiles_ms(change)
     lines = [f"{name} seed {seed}: base {bmed:.3f} ms [{bq1:.3f}, {bq3:.3f}], "
              f"change {cmed:.3f} ms [{cq1:.3f}, {cq3:.3f}], "
-             f"change won {won}/{pairs} pairs, {bmed / cmed:.3f}x"]
+             f"change won {won}/{pairs} pairs, {bmed / cmed:.3f}x",
+             "  tracemalloc peak of one call: base {:.6g} MB, change {:.6g} MB".format(
+                 *(peak_mb(call) for call in calls))]
     ref, new = outputs
     if op == "match":
         largest = float(np.max(np.abs(ref)))

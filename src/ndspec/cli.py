@@ -34,7 +34,7 @@ from .errors import (
 from .estimator import sequential_spectrum
 from .grid import SpectralGridSpec, SpectrumEstimate
 from .indexing import DimSpec
-from .linalg import invert_pd
+from .linalg import PD_PIVOT_REL, invert_pd
 from .textio import _csv_rows, _lag_prefixes, _parse_rows, _prefixes, _read_table, _write_lines
 
 EXIT_OK = 0
@@ -187,8 +187,8 @@ def cmd_estimate(args) -> int:
         k, unit = signal._unit_scaled()
         try:
             r_inv = invert_pd(assemble(unit).entries)
-        except NotPositiveDefinite as exc:
-            raise exc._scaled(k) from exc
+        except NotPositiveDefinite as exc:  # the floor in the signal's units
+            raise exc._scaled(k, PD_PIVOT_REL * signal.zero_lag) from exc
         power = capon_spectrum(r_inv, DimSpec(signal.gamma), grid).power
         spectrum = SpectrumEstimate(grid, power * 2.0**k * 2.0**k)
     _write_lines(args.out, _spectrum_lines(spectrum))

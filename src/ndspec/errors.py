@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 
@@ -67,8 +68,12 @@ class NotPositiveDefinite(NdspecError):
         """Copy of this error annotated with sweep position."""
         return replace(self, stage=stage, frequency=frequency, index=None)
 
-    def _scaled(self, k):
+    def _scaled(self, k, floor=None):
         """The same refusal for the matrix times 4^k: pivot value and floor
-        times 4^k, exactly unless they over- or underflow."""
-        value, floor = (v * 2.0**k * 2.0**k for v in (self.pivot_value, self.floor))
-        return replace(self, pivot_value=value, floor=floor)
+        times 4^k, exactly unless they over- or underflow. ``floor``, when
+        given, is the floor computed in the new units; it replaces one that
+        was subnormal or 0 before scaling, whose digits were lost."""
+        value, scaled = (v * 2.0**k * 2.0**k for v in (self.pivot_value, self.floor))
+        if floor is not None and abs(self.floor) < sys.float_info.min:
+            scaled = floor
+        return replace(self, pivot_value=value, floor=scaled)

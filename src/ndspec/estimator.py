@@ -29,8 +29,8 @@ the power spectrum is formed in place there as their reciprocal.
 An estimate's memory is about 8 bytes per grid cell for the power, the
 last stage's chunk temporaries (about 4 bytes per cell at chunks of
 ceil(C / 8) of its C frequencies), the last stage's input field and its
-block-major copy, and the recursion's ~3 gamma_{d-1} h^2 complex values
-(the predictor, the lag row and one backward product).
+block-major copy, and the recursion's ~2 gamma_{d-1} h^2 complex values
+(the predictor, which it updates in place, and the lag row).
 
 In one dimension the sweep reproduces the classical autoregressive
 (maximum entropy) spectrum of the lag sequence exactly: the first column
@@ -54,6 +54,11 @@ from .errors import DimensionMismatch, NotPositiveDefinite
 from .grid import SpectralGridSpec, SpectrumEstimate, _phases, _roots
 from .indexing import DimSpec, Nesting
 from .linalg import PD_PIVOT_REL, _cholesky, _invert_lower, invert_pd, one_blas_thread
+
+# Bytes of products that one step of the recursion's in-place predictor
+# update holds: all of an order's block pairs at once on small blocks, one
+# pair at a time from h = 33.
+_PAIR_BYTES = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +171,7 @@ def _chunk(field: StageField, grid: SpectralGridSpec, new_h: int) -> int:
     and the two h x new_h factors of its congruence, at every point),
     beside its C roots of unity, within one byte budget: the larger of
     the last stage's working set, the power, its roots and its chunk
-    temporaries, and the recursion's ~3 gamma_{d-1} h^2 complex values.
+    temporaries, and the recursion's ~2 gamma_{d-1} h^2 complex values.
     Both are in the estimate's footprint already, so no stage holds more
     than the estimate does.
     """
@@ -179,7 +184,7 @@ def _chunk(field: StageField, grid: SpectralGridSpec, new_h: int) -> int:
     # sums and their conjugates
     last_stage = 8 * grid.size + complex_bytes * (
         counts[0] + 2 * last_chunk * math.prod(counts[1:]))
-    recursion = 3 * complex_bytes * g * (spec.q // g) ** 2
+    recursion = 2 * complex_bytes * g * (spec.q // g) ** 2
     roots = complex_bytes * counts[spec.d - field.stage]
     per_frequency = complex_bytes * math.prod(field.counts) * (h * h + 2 * h * new_h)
     return max(1, (max(last_stage, recursion) - roots) // per_frequency)
@@ -266,10 +271,22 @@ def _forward_predictor(c: CorrelationSignal) -> tuple[np.ndarray, np.ndarray]:
     block-column of the inverse of the assembled matrix is x P^{-1}.
 
     The forward solution x (x_0 = I) of the n + 1 leading block-rows has
-    error P. Every T(k) is
-    persymmetric, J T(k) J = T(k)^T with J the reversal of the inner flat
-    index, so the backward solution and error are y_k = J conj(x_{n-k}) J
-    and Q = J conj(P) J, and each order costs one h x h inversion.
+    error P. Every T(k) is persymmetric, J T(k) J = T(k)^T with J the
+    reversal of the inner flat index, so the backward solution and error
+    are y_k = J conj(x_{n-k}) J and Q = J conj(P) J, and each order costs
+    one h x h inversion.
+
+    The recursion holds x and the lag row T(1..g-1), about
+    2 gamma_{d-1} h^2 complex values, and O(h^2) besides. As x_0 = I, an
+    order's Delta = sum_i T(n + 1 - i) x_i starts from T(n + 1) and
+    multiplies only x_1..x_n; x_{n+1} = -Q^{-1} Delta is written in place,
+    after P's update. Block m of x_1..x_n then gains y_{m-1} x_{n+1} =
+    J conj(x_{n+1-m} J conj(x_{n+1})), a product of its partner n + 1 - m,
+    so x is updated in place by block pairs, both products of a pair
+    formed before either block is written; a self-paired middle block is
+    updated once. Pairs go in groups whose products fit _PAIR_BYTES: every
+    pair of an order in one GEMM on small blocks, one pair at a time on
+    large ones.
 
     Q at order n is the Schur complement that the dense Cholesky of R
     factors at block-row n, so it is held to the dense floor, 1e-12 c(0),
@@ -287,11 +304,15 @@ def _forward_predictor(c: CorrelationSignal) -> tuple[np.ndarray, np.ndarray]:
     g, h = t.shape[0], t.shape[-1]
     floor = np.float64(PD_PIVOT_REL * c.zero_lag)
     p = t[0].copy()
-    # block j of ``row`` is T(g - 1 - j), so [T(n + 1) ... T(1)] is one slice
-    row = t[::-1].transpose(1, 0, 2).reshape(h, g * h)
+    # block j of ``row`` is -T(g - 1 - j), j < g - 1, so -[T(n + 1) ... T(1)]
+    # is one slice, which runs to its end (T(0) is only P's start); Delta
+    # and W are formed negated, and the gain's product is x_{n+1} itself
+    row = t[:0:-1].transpose(1, 0, 2).reshape(h, (g - 1) * h)
     del t
+    np.negative(row, out=row)
     x = np.zeros((g, h, h), dtype=complex)
     x[0] = np.eye(h)
+    pairs_per_step = max(1, _PAIR_BYTES // (2 * x[0].nbytes))
     for n in range(g):
         try:
             linv = _invert_lower(_cholesky(p[::-1, ::-1].conj(), floor))
@@ -299,16 +320,35 @@ def _forward_predictor(c: CorrelationSignal) -> tuple[np.ndarray, np.ndarray]:
             raise replace(exc, pivot_index=n * h + exc.pivot_index).tagged(1, ()) from exc
         if n == g - 1:
             break
-        delta = row[:, (g - 2 - n) * h:(g - 1) * h] @ x[:n + 1].reshape(-1, h)
-        w = linv @ delta
-        gain = linv.conj().T @ w
-        # y_j G = J conj(x_{n-j} J conj(G)): one product of the contiguous x,
-        # conjugated in place and read with its blocks and rows reversed
-        backward = x[:n + 1].reshape(-1, h) @ gain[::-1].conj()
-        np.conjugate(backward, out=backward)
-        x[1:n + 2] -= backward.reshape(-1, h, h)[::-1, ::-1]
-        del backward  # before the next order's factorization and larger product
+        # -Delta; x_0 = I, so -T(n + 1) enters unmultiplied
+        start = (g - 2 - n) * h
+        delta = row[:, start + h:] @ x[1:n + 1].reshape(-1, h)
+        delta += row[:, start:start + h]
+        w = linv @ delta  # -W
+        del delta
         p -= w.conj().T @ w
+        # x_{n+1} = -Q^{-1} Delta, written in place
+        np.matmul(linv.conj().T, w, out=x[n + 1])
+        del w, linv
+        # x_m += y_{m-1} x_{n+1} = J conj(x_{n+1-m} right), m = 1..n, with
+        # right = J conj(x_{n+1}): x_m and x_{n+1-m} each add the other's
+        # product, both formed before either is written
+        right = x[n + 1, ::-1].conj()
+        pairs = (n + 1) // 2
+        for first in range(1, pairs + 1, pairs_per_step):
+            stop = first + pairs_per_step
+            if stop > pairs:  # the innermost pairs: blocks first..n+1-first, one slice
+                spans = ((first, n + 2 - first),)
+            else:
+                spans = ((first, stop), (n + 2 - stop, n + 2 - first))
+            products = [x[lo:hi].reshape(-1, h) @ right for lo, hi in spans]
+            for (lo, hi), product in zip(spans, products[::-1]):
+                # the partner's product, conjugated in place and read with
+                # its blocks and rows reversed
+                np.conjugate(product, out=product)
+                x[lo:hi] += product.reshape(-1, h, h)[::-1, ::-1]
+            del products, product
+        del right
     q_inv = linv.conj().T @ linv
     return x, q_inv[::-1, ::-1].conj()
 
@@ -332,7 +372,8 @@ def sequential_spectrum(c: CorrelationSignal, grid: SpectralGridSpec) -> Spectru
     Cholesky factor by an exact power of two too, so the spectrum is bit
     for bit the unscaled arithmetic's wherever that stays in range.
     Refusals report their pivot values and floors in the signal's own
-    units.
+    units; a stage-1 floor, 1e-12 c(0), is computed there, as it
+    underflows at unit scale when c(0) lies far below the largest lag.
     """
     spec = DimSpec(c.gamma)
     if grid.d != spec.d:
@@ -341,7 +382,7 @@ def sequential_spectrum(c: CorrelationSignal, grid: SpectralGridSpec) -> Spectru
     try:
         x, p_inv = _forward_predictor(unit)
     except NotPositiveDefinite as exc:  # pivots of the matrix times 4^-k
-        raise exc._scaled(k) from exc
+        raise exc._scaled(k, PD_PIVOT_REL * c.zero_lag) from exc
     field = StageField(spec, 1, x, p_inv)
     del x, p_inv  # P^{-1} goes with stage 1's field
     try:

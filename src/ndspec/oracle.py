@@ -23,7 +23,7 @@ from .errors import NotPositiveDefinite, SizeMismatch
 from .estimator import StageField, stage_update
 from .grid import SpectralGridSpec
 from .indexing import DimSpec, Nesting, apply_walking, walking_map
-from .linalg import invert_pd
+from .linalg import PD_PIVOT_REL, invert_pd
 
 
 def init_stage(r_inv, spec: DimSpec) -> StageField:
@@ -61,13 +61,14 @@ def dense_sweep(c: CorrelationSignal, grid: SpectralGridSpec) -> np.ndarray:
 
     It runs on the unit-scale lags c 4^-k, as ``sequential_spectrum``
     does, and multiplies the power by 4^k; refusals report their pivot
-    values and floors in the signal's units.
+    values and floors in the signal's units, a stage-1 floor computed
+    there.
     """
     k, unit = c._unit_scaled()
     try:
         field = dense_column(unit)
     except NotPositiveDefinite as exc:  # pivots of the matrix times 4^-k
-        raise exc._scaled(k) from exc
+        raise exc._scaled(k, PD_PIVOT_REL * c.zero_lag) from exc
     try:
         for _ in c.gamma:
             field = stage_update(field, grid)

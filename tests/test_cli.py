@@ -142,6 +142,18 @@ class TestEstimate:
             f"ndspec estimate: not positive definite: pivot 1 is -inf (floor {floor}) "
             "[stage 1, initial point]\n")
 
+    @pytest.mark.parametrize("method, where", [("sequential", " [stage 1, initial point]"),
+                                               ("capon", "")])
+    def test_a_tiny_zero_lag_refusal_names_its_floor_in_the_signal_units(
+            self, tmp_path, capsys, method, where):
+        # c(0) is 1e-320 of c(1): 1e-12 c(0) underflows at unit scale, but
+        # not in the file's units
+        corr = tmp_path / "tiny_c0.ndcorr"
+        save_ndcorr(CorrelationSignal.from_forward_lags([1e-200, 1e120]), corr)
+        assert run(["estimate", str(corr), "--grid", "8", "--method", method]) == 3
+        assert capsys.readouterr().err == (
+            f"ndspec estimate: not positive definite: pivot 1 is -inf (floor 1e-212){where}\n")
+
     def test_capon_on_a_tiny_scale_signal(self, tmp_path):
         # R = s [[2, 1], [1, 2]] with s = 1e-310: the Capon spectrum is
         # 3 s / (4 - 2 cos w), though R^{-1} itself overflows

@@ -455,12 +455,36 @@ class TestFirstBlockColumn:
         assert peak < 16 * 1000 ** 2
 
     def test_holds_at_most_four_block_columns(self):
-        # the column x, the lag row and one backward product at a time, each
-        # about gamma h^2 complex values, plus h x h temporaries
+        # the predictor x and the lag row, each about gamma h^2 complex
+        # values, plus h x h temporaries and one block pair's products
         c = random_correlation(np.random.default_rng(15), (10, 10, 10))
         _forward_predictor(c)
         peak, (x, _) = update_peak(_forward_predictor, c)
-        assert peak <= 4 * x.nbytes, peak / x.nbytes
+        assert peak <= 3 * x.nbytes, peak / x.nbytes
+
+    @pytest.mark.parametrize("inner", [(), (2, 3), (8, 8)])
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
+    def test_every_order_matches_the_dense_column(self, inner, g):
+        # h = 1 (scalar Levinson), 6 (every pair in one product) and 64
+        # (one pair per product); odd and even n + 1 update a self-paired
+        # middle block or none
+        gamma = inner + (g,)
+        h = math.prod(inner)
+        assert (estimator._PAIR_BYTES // (2 * 16 * h * h) <= 1) == (h >= 64)
+        c = random_correlation(np.random.default_rng(100 + g), gamma)
+        dense = dense_column(c).blocks
+        err = np.max(np.abs(first_block_column(c) - dense)) / np.max(np.abs(dense))
+        assert err <= 1e-12 * np.linalg.cond(assemble(c).entries), err
+
+    @pytest.mark.parametrize("pairs_per_step", [1, 2, 3, 64])
+    def test_pair_grouping_does_not_change_the_predictor(self, pairs_per_step, monkeypatch):
+        # orders up to 7: three or four pairs, taken in groups of every size
+        c = random_correlation(np.random.default_rng(23), (2, 2, 9))
+        x, p_inv = _forward_predictor(c)
+        monkeypatch.setattr(estimator, "_PAIR_BYTES", pairs_per_step * 2 * 16 * 4 * 4)
+        grouped, grouped_p_inv = _forward_predictor(c)
+        assert np.max(np.abs(grouped - x)) <= 1e-13 * np.max(np.abs(x))
+        assert np.max(np.abs(grouped_p_inv - p_inv)) <= 1e-13 * np.max(np.abs(p_inv))
 
 
 class TestInvertLower:
@@ -692,6 +716,23 @@ class TestSequentialSpectrum:
         assert str(info.value).startswith(
             f"pivot 2 is {info.value.pivot_value:.6g} (floor {info.value.floor:.6g}) [stage 1")
 
+    @pytest.mark.parametrize("forward", [[1e-200, 1e120], [1e-220, 1e100, 5e99],
+                                         [3e-300, 1e20]])
+    def test_a_floor_below_the_unit_scale_is_reported_in_the_signal_units(self, forward):
+        # c(0) about 1e-320 of the largest lag: 1e-12 c(0) underflows to 0
+        # at unit scale, yet is representable in the signal's units, where
+        # the dense Cholesky of the unscaled matrix reads it
+        c = CorrelationSignal.from_forward_lags(forward)
+        k, unit = c._unit_scaled()
+        assert 1e-12 * unit.zero_lag == 0.0 < 1e-12 * c.zero_lag
+        with pytest.raises(NotPositiveDefinite) as info:
+            sequential_spectrum(c, SpectralGridSpec((4,)))
+        dense = _pivot_refused(lambda: invert_pd(assemble(c).entries))
+        got = info.value
+        assert (got.pivot_index, got.pivot_value, got.floor) == (
+            dense.pivot_index, dense.pivot_value, dense.floor) == (1, -np.inf, 1e-12 * forward[0])
+        assert str(got) == f"pivot 1 is -inf (floor {1e-12 * forward[0]:.6g}) [stage 1, initial point]"
+
     @pytest.mark.parametrize("forward, floor", [([5e-324, 1.0], "0"),
                                                 ([1e-310, 1.0, 0.5], "9.88131e-323")])
     def test_overflowing_recursion_is_refused_without_warnings(self, forward, floor):
@@ -754,8 +795,8 @@ class TestSequentialSpectrum:
         points, g, h = 4096, 10, 10
         # the larger of the last stage's working set (8 B per cell of power,
         # and a ceil(8 / 8)-frequency chunk of complex Fourier sums and their
-        # conjugates at every point) and the recursion's 3 gamma h^2 values
-        budget = max(8 * grid.size + 2 * 16 * points, 3 * 16 * g * h * h)
+        # conjugates at every point) and the recursion's 2 gamma h^2 values
+        budget = max(8 * grid.size + 2 * 16 * points, 2 * 16 * g * h * h)
         x, p_inv = _forward_predictor(c)
         field = StageField(DimSpec((g, g)), 1, x, p_inv)
         stage_update(field, grid)
@@ -770,7 +811,7 @@ class TestSequentialSpectrum:
         # blocks at each point), and the recursion's values; its zero blocks'
         # reciprocals, 16 B a point, are the rest
         footprint = (8 * grid.size + 2 * 16 * points + 2 * 16 * g * points
-                     + 3 * 16 * g * h * h + 16 * points)
+                     + 2 * 16 * g * h * h + 16 * points)
         sequential_spectrum(c, grid)
         peak, _ = update_peak(sequential_spectrum, c, grid)
         assert peak <= footprint, (peak, footprint)

@@ -405,11 +405,11 @@ class TestOneBlasThread:
         # (gamma_1 = 3, h = 2); stage 1 sweeps the predictor with the known
         # P^{-1} and factors nothing, and stage 2's 1 x 1 blocks take a
         # reciprocal; then one Fourier-sum GEMM per chunk of each swept
-        # axis: stage 1's 5 frequencies in chunks of 4 (128 B of temporaries
-        # each within the recursion's 576 B), the last stage's 4 in chunks
-        # of ceil(4 / 8) = 1
+        # axis: stage 1's 5 frequencies in chunks of 2 (128 B of temporaries
+        # each, beside 80 B of roots, within the recursion's 384 B), the last
+        # stage's 4 in chunks of ceil(4 / 8) = 1
         assert {name: len(counts) for name, counts in seen.items()} == {
-            "factor": 3, "inverse": 3, "fourier sum": 2 + 4}
+            "factor": 3, "inverse": 3, "fourier sum": 3 + 4}
         assert set(sum(seen.values(), [])) == {1}
         assert get() == before
 
