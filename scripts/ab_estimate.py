@@ -18,13 +18,13 @@ own sequential spectrum. Calls of the two trees alternate, which goes
 first alternates too, and a garbage collection runs before each call, as
 in the benchmark. For each workload and seed it prints each side's
 median and quartiles in ms, the pairs the change won, each side's
-tracemalloc peak of one untimed call after the timed pairs, and the largest
-relative difference of the two outputs: for ``estimate`` at the cells
-below 1e9 times the base's median and, separately, at the line cells
-above it, whose last digits no evaluation order keeps; for ``capon``
-over the Capon spectrum; for ``match`` over the reconstructed lags,
-relative to the largest of them, since the line cells set every lag's
-last digits and a lag far below the largest has none of its own.
+tracemalloc peak of one untimed call made after the timed pairs, and
+the largest relative difference of the two outputs: for ``estimate`` at
+the cells below 1e9 times the base's median and, separately, at the
+line cells above it, whose last digits no evaluation order keeps; for
+``capon`` over the Capon spectrum; for ``match`` over the reconstructed
+lags, relative to the largest of them, since the line cells set every
+lag's last digits and a lag far below the largest has none of its own.
 """
 
 import argparse

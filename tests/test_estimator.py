@@ -478,7 +478,7 @@ class TestFirstBlockColumn:
 
     @pytest.mark.parametrize("pairs_per_step", [1, 2, 3, 64])
     def test_pair_grouping_does_not_change_the_predictor(self, pairs_per_step, monkeypatch):
-        # orders up to 7: three or four pairs, taken in groups of every size
+        # orders up to 7, so up to four pairs, taken in groups of every size
         c = random_correlation(np.random.default_rng(23), (2, 2, 9))
         x, p_inv = _forward_predictor(c)
         monkeypatch.setattr(estimator, "_PAIR_BYTES", pairs_per_step * 2 * 16 * 4 * 4)
@@ -723,7 +723,7 @@ class TestSequentialSpectrum:
         # at unit scale, yet is representable in the signal's units, where
         # the dense Cholesky of the unscaled matrix reads it
         c = CorrelationSignal.from_forward_lags(forward)
-        k, unit = c._unit_scaled()
+        _, unit = c._unit_scaled()
         assert 1e-12 * unit.zero_lag == 0.0 < 1e-12 * c.zero_lag
         with pytest.raises(NotPositiveDefinite) as info:
             sequential_spectrum(c, SpectralGridSpec((4,)))
@@ -731,7 +731,8 @@ class TestSequentialSpectrum:
         got = info.value
         assert (got.pivot_index, got.pivot_value, got.floor) == (
             dense.pivot_index, dense.pivot_value, dense.floor) == (1, -np.inf, 1e-12 * forward[0])
-        assert str(got) == f"pivot 1 is -inf (floor {1e-12 * forward[0]:.6g}) [stage 1, initial point]"
+        assert str(got) == (f"pivot 1 is -inf (floor {1e-12 * forward[0]:.6g}) "
+                            "[stage 1, initial point]")
 
     @pytest.mark.parametrize("forward, floor", [([5e-324, 1.0], "0"),
                                                 ([1e-310, 1.0, 0.5], "9.88131e-323")])
