@@ -22,7 +22,8 @@ lags. With ``--base`` it compares the
 ``sequential_spectrum`` of the tree at BASE_ROOT (base) with this tree's
 (change). It prints the refusals that agree on stage, grid point and
 pivot index, the pivot values among them that differ, every input that
-only one side refuses or that the sides refuse differently, and, over
+only one side refuses or that the sides refuse differently, each pivot
+value with the floor it had to exceed on its side, and, over
 the inputs both accept, the largest relative differences of the two
 spectra at cells below 1e9 times the median, by input.
 """
@@ -59,11 +60,12 @@ def corpus_input(nd, band: int, index: int):
 
 
 def outcome(estimate, nd, c, grid):
-    """The power, or the refusal as (stage, grid point, pivot index, value)."""
+    """The power, or the refusal as (stage, grid point, pivot index, value,
+    floor)."""
     try:
         return estimate(nd, c, grid)
     except nd.NotPositiveDefinite as exc:
-        return exc.stage, exc.frequency, exc.pivot_index, exc.pivot_value
+        return exc.stage, exc.frequency, exc.pivot_index, exc.pivot_value, exc.floor
 
 
 def dense(nd, c, grid):
@@ -95,10 +97,15 @@ def regular_difference(base, change):
     return float(np.max(np.abs(change[regular] - base[regular]) / base[regular]))
 
 
+def _pivot_text(o):
+    """A refusal's pivot value and the floor it had to exceed."""
+    return f"{o[3]:.6g} (floor {o[4]:.6g})"
+
+
 def _refusal_text(o):
     if not isinstance(o, tuple):
         return "accepted"
-    return f"refused at stage {o[0]}, point {o[1]}, pivot {o[2]} ({o[3]:.6g})"
+    return f"refused at stage {o[0]}, point {o[1]}, pivot {o[2]} {_pivot_text(o)}"
 
 
 def report(rows, names=("base", "change"), top=6):
@@ -110,8 +117,8 @@ def report(rows, names=("base", "change"), top=6):
         if isinstance(a, tuple) and isinstance(b, tuple) and a[:3] == b[:3]:
             agree += 1
             if a[3] != b[3]:
-                lines.append(f"  {label}: pivot value {a[3]:.6g} ({names[0]}) "
-                             f"vs {b[3]:.6g} ({names[1]}) at stage {a[0]}")
+                lines.append(f"  {label}: pivot value {_pivot_text(a)} ({names[0]}) "
+                             f"vs {_pivot_text(b)} ({names[1]}) at stage {a[0]}")
         else:
             lines.append(f"  {label}: {names[0]} {_refusal_text(a)}; "
                          f"{names[1]} {_refusal_text(b)}")

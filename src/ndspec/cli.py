@@ -31,10 +31,10 @@ from .errors import (
     NdspecError,
     NotPositiveDefinite,
 )
-from .estimator import sequential_spectrum
+from .estimator import _unit_scale, sequential_spectrum
 from .grid import SpectralGridSpec, SpectrumEstimate
 from .indexing import DimSpec
-from .linalg import PD_PIVOT_REL, invert_pd
+from .linalg import invert_pd
 from .textio import _csv_rows, _lag_prefixes, _parse_rows, _prefixes, _read_table, _write_lines
 
 EXIT_OK = 0
@@ -183,14 +183,11 @@ def cmd_estimate(args) -> int:
     else:
         # on the unit-scale signal, as the sequential estimator runs: the
         # inverse of a signal near either end of the double range over- or
-        # underflows, and an exact power of four changes no other bit
-        k, unit = signal._unit_scaled()
-        try:
-            r_inv = invert_pd(assemble(unit).entries)
-        except NotPositiveDefinite as exc:  # the floor in the signal's units
-            raise exc._scaled(k, PD_PIVOT_REL * signal.zero_lag) from exc
-        power = capon_spectrum(r_inv, DimSpec(signal.gamma), grid).power
-        spectrum = SpectrumEstimate(grid, power * 2.0**k * 2.0**k)
+        # underflows
+        spec = DimSpec(signal.gamma)
+        spectrum = SpectrumEstimate(grid, _unit_scale(
+            signal, lambda unit: invert_pd(assemble(unit).entries),
+            [lambda r_inv: capon_spectrum(r_inv, spec, grid).power]))
     _write_lines(args.out, _spectrum_lines(spectrum))
     return EXIT_OK
 

@@ -353,6 +353,57 @@ def _forward_predictor(c: CorrelationSignal) -> tuple[np.ndarray, np.ndarray]:
     return x, q_inv[::-1, ::-1].conj()
 
 
+def _unit_scale(c: CorrelationSignal, first, then=()):
+    """Run an estimate on u = c 4^-k, the copy of ``c`` from
+    ``c._unit_scaled()`` whose largest lag lies in [1/2, 2), so that no
+    step under- or overflows whatever the signal's scale: ``first(u)``,
+    then each step of ``then`` on what the step before returned.
+
+    ``first`` works on u's matrix, so its refusals are the matrix's times
+    4^-k: their pivot values and floors are reported times 4^k, in the
+    signal's units. A floor 1e-12 c(0) that underflows at unit scale, as
+    when c(0) lies far below the largest lag, is computed there instead.
+    The steps of ``then`` work on the inverse, which scales the other way,
+    so their refusals are reported times 4^-k. The last step returns the
+    power at unit scale, which is returned times 4^k; with no ``then``,
+    what ``first`` returned is.
+
+    An even power of two scales every Cholesky factor by an exact power of
+    two too, so the power is bit for bit the unscaled arithmetic's wherever
+    that stays in range. Nothing else holds a step's input once the step
+    returns, so a sweep stage's field is freed when the next one is formed.
+    """
+    k, unit = c._unit_scaled()
+    try:
+        out = first(unit)
+    except NotPositiveDefinite as exc:  # pivots of the matrix times 4^-k
+        raise exc._scaled(k, PD_PIVOT_REL * c.zero_lag) from exc
+    if not then:
+        return out
+    try:
+        for step in then:
+            out = step(out)
+    except NotPositiveDefinite as exc:  # pivots of the inverse times 4^k
+        raise exc._scaled(-k) from exc
+    out *= 2.0**k  # 4^k in two exact steps, as 4.0**k overflows for large |k|
+    out *= 2.0**k
+    return out
+
+
+def _sweep(grid: SpectralGridSpec) -> list:
+    """``_unit_scale`` steps that take a stage-1 field through every stage
+    of ``grid`` and then to its power (``_power``)."""
+    return [lambda field: stage_update(field, grid)] * grid.d + [_power]
+
+
+def _power(field: StageField) -> np.ndarray:
+    """Power at a finished field's grid points, formed in place in the last
+    stage's grid-ordered array as the reciprocal of its real scalars, so it
+    is C-contiguous and no transposed copy is made."""
+    scalars = np.asarray(field.blocks[..., 0, 0, 0]).T
+    return np.divide(1.0, scalars, out=scalars)
+
+
 @one_blas_thread
 def sequential_spectrum(c: CorrelationSignal, grid: SpectralGridSpec) -> SpectrumEstimate:
     """Full sweep over all dimensions; returns S = 1 / G_final on the grid.
@@ -360,39 +411,13 @@ def sequential_spectrum(c: CorrelationSignal, grid: SpectralGridSpec) -> Spectru
     The block Levinson recursion over the slowest dimension gives the
     forward predictor and the inverse of its error, which stage 1 sweeps
     as they are, with no inversion; each dimension is then converted to
-    an explicit frequency axis from the highest label down.
-
-    The power is formed in place in the last stage's grid-ordered array,
-    so it is C-contiguous and no transposed copy is made. The recursion
-    and every stage run inside one pin of the BLAS to one thread.
-
-    All of it runs on the unit-scale lags c 4^-k of ``c._unit_scaled()``,
-    so no step under- or overflows whatever the signal's scale, and the
-    power is then multiplied by 4^k. An even power of two scales every
-    Cholesky factor by an exact power of two too, so the spectrum is bit
-    for bit the unscaled arithmetic's wherever that stays in range.
-    Refusals report their pivot values and floors in the signal's own
-    units; a stage-1 floor, 1e-12 c(0), is computed there, as it
-    underflows at unit scale when c(0) lies far below the largest lag.
+    an explicit frequency axis from the highest label down. All of it
+    runs on the unit-scale lags of ``_unit_scale``, inside one pin of the
+    BLAS to one thread.
     """
     spec = DimSpec(c.gamma)
     if grid.d != spec.d:
         raise DimensionMismatch(f"{grid.d}-d grid for a {spec.d}-d signal")
-    k, unit = c._unit_scaled()
-    try:
-        x, p_inv = _forward_predictor(unit)
-    except NotPositiveDefinite as exc:  # pivots of the matrix times 4^-k
-        raise exc._scaled(k, PD_PIVOT_REL * c.zero_lag) from exc
-    field = StageField(spec, 1, x, p_inv)
-    del x, p_inv  # P^{-1} goes with stage 1's field
-    try:
-        for _ in range(spec.d):
-            field = stage_update(field, grid)
-    except NotPositiveDefinite as exc:  # pivots of the inverse times 4^k
-        raise exc._scaled(-k) from exc
-    # the last stage's real scalars, in grid order m_0..m_{d-1} under the
-    # field's transposed view
-    power = np.asarray(field.blocks[..., 0, 0, 0]).T
-    np.divide(2.0**k, power, out=power)
-    power *= 2.0**k  # 4^k in two exact steps, as 4.0**k overflows for large |k|
+    power = _unit_scale(c, lambda unit: StageField(spec, 1, *_forward_predictor(unit)),
+                        _sweep(grid))
     return SpectrumEstimate(grid, power)

@@ -3,21 +3,23 @@
 Every function takes a stack of matrices, shape (..., n, n); a single
 matrix is a stack with no leading axes. Hermitian inputs are read from
 the lower triangle. The whole stack is factored in one numpy LAPACK call;
-only when it fails is it factored again matrix by matrix with scipy's
-zpotrf, in C order, to name the first failing matrix and pivot.
+only when it fails is it factored again matrix by matrix, in C order, to
+name the first failing matrix and pivot. numpy alone names it, halving
+the failing matrix into a leading block and its Schur complement until
+one pivot is left.
 
 A single matrix is inverted from its factor in place by scipy's zpotri,
 about a quarter of the work of inverting the factor and multiplying it
-out. A stack stays in numpy's batched calls: zpotri takes one matrix per
-Python call, and a sweep stage's stack can hold thousands of small zero
-blocks. Its factors are inverted by ``_invert_lower``, the triangular
-inverse that the sequential estimator's block recursion uses too. A
-stack of 1 x 1 matrices, the last sweep stage's zero blocks, is inverted
-by a reciprocal when it would factor. An inverse that overflows the
-double range is refused with OverflowError.
+out; it is the only call into scipy. A stack stays in numpy's batched
+calls: zpotri takes one matrix per Python call, and a sweep stage's stack
+can hold thousands of small zero blocks. Its factors are inverted by
+``_invert_lower``, the triangular inverse that the sequential estimator's
+block recursion uses too. A stack of 1 x 1 matrices, the last sweep
+stage's zero blocks, is inverted by a reciprocal when it would factor. An
+inverse that overflows the double range is refused with OverflowError.
 
 scipy is imported at its first use, so a sequential estimate, which
-inverts only stacks, never loads it.
+inverts only stacks, never loads it, not even when it is refused.
 """
 
 from __future__ import annotations
@@ -100,46 +102,51 @@ class _OneBlasThread(ContextDecorator):
                 for put, count in self.saved:
                     put(count)
 
-    def extend(self):
-        """Inside a held pin, pin too what ``find`` names only now: scipy's
-        OpenBLAS, once scipy.linalg is loaded. Its count is restored with
-        the others'."""
-        with self.lock:
-            if self.depth:
-                held = [put for put, _ in self.saved]
-                for get, put in self.find() or ():
-                    if put not in held:
-                        self.saved += ((put, get()),)
-                        put(1)
-
 
 one_blas_thread = _OneBlasThread(_openblas_threads)
 
 
 def _lapack():
-    """scipy's LAPACK wrappers, imported at first use. Called inside a pin,
-    it pins scipy's OpenBLAS as well, so even the first call of a process
-    runs on one thread of each library."""
+    """scipy's LAPACK wrappers, imported at first use."""
     from scipy.linalg import lapack
 
-    one_blas_thread.extend()
     return lapack
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _factor_one(a: np.ndarray, floor: float, index: tuple[int, ...]) -> np.ndarray:
-    """Lower factor of one matrix; the first pivot at or below ``floor``
-    (or the one LAPACK rejects) is reported with ``index``."""
-    lower, info = _lapack().zpotrf(a, lower=1, clean=1)
-    done = info - 1 if info > 0 else a.shape[-1]
-    pivots = lower.diagonal().real[:done] ** 2
-    low = np.flatnonzero(~(pivots > floor))
-    if low.size:
-        k, value = int(low[0]), float(pivots[low[0]])
-    elif info > 0:
-        k, value = done, float(lower[done, done].real)
-    else:
+    """Lower factor of one matrix; its first pivot at or below ``floor``,
+    or the first that LAPACK rejects, is reported with ``index``.
+
+    A matrix that fails is halved until one pivot is left: when its
+    leading half fails, the pivot is there; when that half passes, it is
+    in the Schur complement of the half, a22 - a21 a11^{-1} a21^H, whose
+    pivots continue the whole matrix's. The last 1 x 1 complement is the
+    failing pivot's value, as LAPACK's potrf forms it; one that overflows
+    is -inf, as there, and raises no warning.
+    """
+    def factor(b):
+        """The lower factor of ``b``, or None if a pivot fails."""
+        try:
+            lower = np.linalg.cholesky(b)
+        except np.linalg.LinAlgError:
+            return None
+        return lower if np.all(np.diagonal(lower).real ** 2 > floor) else None
+
+    lower = factor(a)
+    if lower is not None:
         return lower
-    raise NotPositiveDefinite(pivot_index=k, pivot_value=value, index=index, floor=floor)
+    k = 0  # pivots of the whole matrix before a's first
+    while a.shape[-1] > 1:
+        m = a.shape[-1] // 2
+        lead = factor(a[:m, :m])
+        if lead is None:
+            a = a[:m, :m]
+        else:  # L21^H = L11^{-1} a21^H, and the complement a22 - L21 L21^H
+            right = np.linalg.solve(lead, a[m:, :m].conj().T)
+            a, k = a[m:, m:] - right.conj().T @ right, k + m
+    raise NotPositiveDefinite(pivot_index=k, pivot_value=float(a[0, 0].real), index=index,
+                              floor=floor)
 
 
 @one_blas_thread
@@ -175,20 +182,22 @@ def _cholesky(a: np.ndarray, floors) -> np.ndarray:
     return lower
 
 
-@one_blas_thread
 def invert_pd(h) -> np.ndarray:
     """Inverses of a stack of Hermitian positive definite matrices, each
     exactly Hermitian with a real diagonal.
 
-    The factor is ``cholesky``'s, with its pivot floor and refusals. A
-    single matrix (``ndim == 2``) is then inverted in place in its factor's
-    memory by LAPACK's zpotri; a stack takes the batched triangular
-    inverse of L by ``_invert_lower`` and the product L^{-H} L^{-1}, which
-    beats a Python call per matrix on the sweep's many small zero blocks.
-    A stack of 1 x 1 matrices whose real parts are all finite and large
-    enough for their reciprocals to stay finite is inverted by the
-    reciprocal of its real part; any other takes the factorization, so it
-    is refused as before.
+    The factor is ``cholesky``'s, with its pivot floor and refusals, which
+    numpy names. A single matrix (``ndim == 2``) is then inverted in place
+    in its factor's memory by LAPACK's zpotri, the one call into scipy; a
+    stack takes the batched triangular inverse of L by ``_invert_lower``
+    and the product L^{-H} L^{-1}, which beats a Python call per matrix on
+    the sweep's many small zero blocks. A stack of 1 x 1 matrices whose
+    real parts are all finite and large enough for their reciprocals to
+    stay finite is inverted by the reciprocal of its real part; any other
+    takes the factorization, so it is refused as before.
+
+    scipy is loaded before the pin of ``one_blas_thread`` is entered, so
+    the pin holds scipy's OpenBLAS to one thread too.
 
     A matrix whose inverse overflows, one with an eigenvalue below about
     1e-308, raises OverflowError naming the first such matrix in C order.
@@ -198,23 +207,25 @@ def invert_pd(h) -> np.ndarray:
         re = a.real
         if np.all((re >= _RECIPROCAL_MIN) & (re < np.inf)):
             return (1.0 / re).astype(complex)
-    lower = cholesky(a)
-    if lower.ndim == 2 and lower.size:
-        # C-ordered L is Fortran-ordered L^T, an upper factor of conj(h):
-        # zpotri leaves the upper triangle of conj(h)^{-1} there, which is
-        # the lower triangle of h^{-1} in C order, and copies nothing.
-        inv, _ = _lapack().zpotri(lower.T, lower=0, overwrite_c=1)
-        return _finite(_mirror_lower(inv.T))
-    with np.errstate(over="ignore", invalid="ignore"):
-        # each temporary is dropped as soon as it is used and the
-        # symmetrization runs in place, halving first so that an inverse
-        # within the double range stays within it
-        linv = _invert_lower(lower)
-        del lower
-        inv = linv.conj().swapaxes(-1, -2) @ linv
-        del linv
-        inv *= 0.5
-        inv += inv.conj().swapaxes(-1, -2)
+    lapack = _lapack() if a.ndim == 2 else None
+    with one_blas_thread:
+        lower = cholesky(a)
+        if lower.ndim == 2 and lower.size:
+            # C-ordered L is Fortran-ordered L^T, an upper factor of conj(h):
+            # zpotri leaves the upper triangle of conj(h)^{-1} there, which is
+            # the lower triangle of h^{-1} in C order, and copies nothing.
+            inv, _ = lapack.zpotri(lower.T, lower=0, overwrite_c=1)
+            return _finite(_mirror_lower(inv.T))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # each temporary is dropped as soon as it is used and the
+            # symmetrization runs in place, halving first so that an inverse
+            # within the double range stays within it
+            linv = _invert_lower(lower)
+            del lower
+            inv = linv.conj().swapaxes(-1, -2) @ linv
+            del linv
+            inv *= 0.5
+            inv += inv.conj().swapaxes(-1, -2)
     return _finite(inv)
 
 

@@ -20,10 +20,14 @@ import numpy as np
 from . import estimator
 from .correlation import CorrelationSignal, assemble
 from .errors import NotPositiveDefinite, SizeMismatch
-from .estimator import StageField, stage_update
+from .estimator import StageField
 from .grid import SpectralGridSpec
 from .indexing import DimSpec, Nesting, apply_walking, walking_map
-from .linalg import PD_PIVOT_REL, invert_pd
+from .linalg import invert_pd
+
+# Largest deviation cross_check accepts, relative to the largest entry of
+# the dense value.
+CROSS_CHECK_TOL = 1e-8
 
 
 def init_stage(r_inv, spec: DimSpec) -> StageField:
@@ -57,48 +61,30 @@ def dense_column(c: CorrelationSignal) -> StageField:
 
 
 def dense_sweep(c: CorrelationSignal, grid: SpectralGridSpec) -> np.ndarray:
-    """Power from the dense first block-column swept stage by stage.
-
-    It runs on the unit-scale lags c 4^-k, as ``sequential_spectrum``
-    does, and multiplies the power by 4^k; refusals report their pivot
-    values and floors in the signal's units, a stage-1 floor computed
-    there.
-    """
-    k, unit = c._unit_scaled()
-    try:
-        field = dense_column(unit)
-    except NotPositiveDefinite as exc:  # pivots of the matrix times 4^-k
-        raise exc._scaled(k, PD_PIVOT_REL * c.zero_lag) from exc
-    try:
-        for _ in c.gamma:
-            field = stage_update(field, grid)
-    except NotPositiveDefinite as exc:  # pivots of the inverse times 4^k
-        raise exc._scaled(-k) from exc
-    return 2.0**k / np.asarray(field.blocks[..., 0, 0, 0]).T * 2.0**k
+    """Power from the dense first block-column swept stage by stage, on
+    the unit-scale lags of ``estimator._unit_scale``, as
+    ``sequential_spectrum`` runs."""
+    return estimator._unit_scale(c, dense_column, estimator._sweep(grid))
 
 
-def cross_check(c: CorrelationSignal, tol: float = 1e-8) -> None:
+def cross_check(c: CorrelationSignal) -> None:
     """Raise ArithmeticError unless the recursion's first block-column
     x P^{-1} matches the dense inverse's and (d > 1) the inverse under the
     reversed nesting, walked back, matches the direct inverse, each within
-    ``tol`` of the largest entry of the dense value.
+    CROSS_CHECK_TOL of the largest entry of the dense value.
 
-    Both run on the unit-scale lags of ``c._unit_scaled()``, as
-    ``sequential_spectrum`` does. The recursion is looked up as
+    All three run on the unit-scale lags of ``estimator._unit_scale``, as
+    ``sequential_spectrum`` runs. The recursion is looked up as
     ``estimator._forward_predictor`` at each call.
     """
     spec = DimSpec(c.gamma)
     reversed_nesting = Nesting(tuple(reversed(range(spec.d))))
-    k, unit = c._unit_scaled()
-    try:
-        x, p_inv = estimator._forward_predictor(unit)
-        r_inv = _dense_inverse(unit)
-        alt_inv = _dense_inverse(unit, reversed_nesting) if spec.d > 1 else None
-    except NotPositiveDefinite as exc:  # pivots of the matrix times 4^-k
-        raise exc._scaled(k) from exc
+    x, p_inv, r_inv, alt_inv = estimator._unit_scale(c, lambda unit: (
+        *estimator._forward_predictor(unit), _dense_inverse(unit),
+        _dense_inverse(unit, reversed_nesting) if spec.d > 1 else None))
     dense = init_stage(r_inv, spec).blocks
     err = float(np.max(np.abs(dense - x @ p_inv)))
-    if err > tol * float(np.max(np.abs(dense))):
+    if err > CROSS_CHECK_TOL * float(np.max(np.abs(dense))):
         raise ArithmeticError(
             f"recursion's first block-column deviates from the dense inverse by {err:.3g}"
         )
@@ -107,7 +93,7 @@ def cross_check(c: CorrelationSignal, tol: float = 1e-8) -> None:
     walked = apply_walking(alt_inv, walking_map(spec, reversed_nesting,
                                                 Nesting.identity(spec.d)))
     err = float(np.max(np.abs(walked - r_inv)))
-    if err > tol * float(np.max(np.abs(r_inv))):
+    if err > CROSS_CHECK_TOL * float(np.max(np.abs(r_inv))):
         raise ArithmeticError(
             f"walked inverse deviates from the direct inverse by {err:.3g}"
         )

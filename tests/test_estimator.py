@@ -734,6 +734,16 @@ class TestSequentialSpectrum:
         assert str(got) == (f"pivot 1 is -inf (floor {1e-12 * forward[0]:.6g}) "
                             "[stage 1, initial point]")
 
+    @pytest.mark.parametrize("check", [cross_check,
+                                       lambda c: dense_sweep(c, SpectralGridSpec((4,)))],
+                             ids=["cross_check", "dense_sweep"])
+    def test_the_oracles_report_a_floor_below_the_unit_scale_in_the_signal_units(self, check):
+        # the dense oracles run on the same unit-scale lags; the CLI's Capon
+        # branch is checked in tests/test_cli.py
+        with pytest.raises(NotPositiveDefinite) as info:
+            check(CorrelationSignal.from_forward_lags([1e-200, 1e120]))
+        assert str(info.value) == "pivot 1 is -inf (floor 1e-212) [stage 1, initial point]"
+
     @pytest.mark.parametrize("forward, floor", [([5e-324, 1.0], "0"),
                                                 ([1e-310, 1.0, 0.5], "9.88131e-323")])
     def test_overflowing_recursion_is_refused_without_warnings(self, forward, floor):
@@ -829,7 +839,7 @@ class TestSequentialSpectrum:
         # reversed nesting's inverse walked back against the direct one
         rng = np.random.default_rng(11)
         c = random_correlation(rng, (2, 3))
-        cross_check(c, tol=1e-8)
+        cross_check(c)
 
     @pytest.mark.parametrize("gamma", [(3,), (2, 3)])
     def test_cross_check_compares_the_recursion_with_the_dense_inverse(self, gamma, monkeypatch):
@@ -844,7 +854,7 @@ class TestSequentialSpectrum:
         monkeypatch.setattr(estimator, "_forward_predictor", perturbed)
         sequential_spectrum(c, grid)
         with pytest.raises(ArithmeticError, match="first block-column"):
-            cross_check(c, tol=1e-8)
+            cross_check(c)
 
 
 _INDEFINITE = np.array([[1.0, 2.0], [2.0, 1.0]])

@@ -222,6 +222,37 @@ class TestInvertPd:
         assert single.value.index == () and single.value.pivot_index == 0
 
 
+def _ldl(n, k, pivot):
+    """L D L^H with L unit lower triangular and D = I but D_k = ``pivot``:
+    the Schur complement that the Cholesky factorization meets at pivot k
+    is ``pivot``."""
+    rng = np.random.default_rng((n, k))
+    lower = np.tril(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), -1)
+    lower = lower / np.sqrt(n) + np.eye(n)
+    d = np.ones(n)
+    d[k] = pivot
+    return (lower * d) @ lower.conj().T
+
+
+@pytest.mark.parametrize("n", [5, 33, 70, 200])
+@pytest.mark.parametrize("at", ["first", "second", "middle", "last"])
+@pytest.mark.parametrize("pivot", [-0.5, 1e-14])
+def test_a_built_failure_is_named_at_its_pivot(n, at, pivot):
+    # below the floor, 1e-12 of the largest diagonal entry, or negative; the
+    # value within n eps of the largest diagonal entry, as a factorization
+    # forms it, through cholesky and invert_pd, alone and in a stack
+    k = {"first": 0, "second": 1, "middle": n // 2, "last": n - 1}[at]
+    a = _ldl(n, k, pivot)
+    stack = np.stack([np.eye(n), a, _ldl(n, 0, -1.0)]).reshape(1, 3, n, n)
+    bound = n * np.finfo(float).eps * a.diagonal().real.max()
+    for call in (cholesky, invert_pd):
+        for h, index in ((a, ()), (stack, (0, 1))):
+            with pytest.raises(NotPositiveDefinite) as info:
+                call(h)
+            assert (info.value.index, info.value.pivot_index) == (index, k)
+            assert abs(info.value.pivot_value - pivot) <= bound
+
+
 class TestInverseOverflow:
     """A positive definite matrix whose inverse overflows is refused, not
     returned as inf and not with a warning."""
@@ -372,9 +403,10 @@ class TestOneBlasThread:
         return linalg._openblas_calls(package)[0]
 
     def test_first_inverse_of_a_process_pins_both_libraries(self):
-        # scipy is first imported inside invert_pd's pin, which then pins
-        # scipy's OpenBLAS too before the first zpotri; both pools start at
-        # 2 threads and are restored to 2
+        # invert_pd first imports scipy, before it enters its pin, so the pin
+        # holds scipy's OpenBLAS as well as numpy's to one thread through the
+        # process's first zpotri; both pools start at 2 threads and are
+        # restored to 2
         self.openblas_get("numpy", getattr(np.__config__, "CONFIG", {}))
         self.openblas_get("scipy", scipy.show_config(mode="dicts"))
         assert run_fresh(_FIRST_INVERSE) == [False, [[1, 1]], [2, 2]]
@@ -434,6 +466,8 @@ class TestOneBlasThread:
         assert seen == [1] * 4
 
     def test_single_inverse_pins_both_libraries(self, monkeypatch):
+        # Capon's single inverse, numpy's cholesky then scipy's zpotri, is the
+        # one call that crosses the two libraries
         get_numpy = self.openblas_get("numpy", getattr(np.__config__, "CONFIG", {}))
         get_scipy = self.openblas_get("scipy", scipy.show_config(mode="dicts"))
         inverse, seen = scipy.linalg.lapack.zpotri, []
