@@ -8,26 +8,24 @@ name the first failing matrix and pivot. numpy alone names it, halving
 the failing matrix into a leading block and its Schur complement until
 one pivot is left.
 
-A single matrix is inverted from its factor in place by scipy's zpotri,
+A single matrix is inverted from its factor in place by LAPACK's zpotri,
 about a quarter of the work of inverting the factor and multiplying it
-out; it is the only call into scipy. A stack stays in numpy's batched
-calls: zpotri takes one matrix per Python call, and a sweep stage's stack
-can hold thousands of small zero blocks. Its factors are inverted by
+out. It is called through ctypes from the OpenBLAS that numpy bundles,
+the library whose thread count ``one_blas_thread`` pins, so the package
+needs no LAPACK of its own. A stack stays in numpy's batched calls:
+zpotri takes one matrix per Python call, and a sweep stage's stack can
+hold thousands of small zero blocks. Its factors are inverted by
 ``_invert_lower``, the triangular inverse that the sequential estimator's
-block recursion uses too. A stack of 1 x 1 matrices, the last sweep
-stage's zero blocks, is inverted by a reciprocal when it would factor. An
-inverse that overflows the double range is refused with OverflowError.
-
-scipy is imported at its first use, so a sequential estimate, which
-inverts only stacks, never loads it, not even when it is refused.
+block recursion uses too; so is a single matrix where numpy uses another
+BLAS. A stack of 1 x 1 matrices, the last sweep stage's zero blocks, is
+inverted by a reciprocal when it would factor. An inverse that overflows
+the double range is refused with OverflowError.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import importlib
-import sys
 import threading
 from contextlib import ContextDecorator
 from pathlib import Path
@@ -46,71 +44,78 @@ _TRIANGULAR_LEAF = 32
 # Smallest positive number whose reciprocal invert_pd takes without a check:
 # the reciprocal is at most half the largest double.
 _RECIPROCAL_MIN = 2.0 / np.finfo(float).max
+# LAPACKE's matrix_layout for column-major (Fortran-ordered) arrays.
+_COLUMN_MAJOR = 102
 
 
 @functools.cache
-def _openblas_calls(package: str):
-    """(get, set) of the thread count of the OpenBLAS bundled with numpy or
-    scipy (``package``), or None when it uses another BLAS. The symbols
-    carry a ``64_`` suffix in a build with 64-bit integers and none in one
-    with 32-bit integers."""
-    libs = Path(importlib.import_module(package).__file__).resolve().parent.parent
-    for path in (libs / f"{package}.libs").glob("*openblas*"):
+def _openblas():
+    """numpy's bundled OpenBLAS: the (get, set) pair of its thread count and
+    its LAPACKE zpotri (None when it lacks one), or None when numpy uses
+    another BLAS. The symbols carry a ``64_`` suffix in a build with 64-bit
+    integers and none in one with 32-bit integers; the integer arguments of
+    zpotri follow its suffix."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in libs.glob("*openblas*"):
         lib = ctypes.CDLL(str(path))
-        for name in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                if hasattr(lib, f"{name}_set_num_threads{suffix}"):
-                    get = getattr(lib, f"{name}_get_num_threads{suffix}")
-                    put = getattr(lib, f"{name}_set_num_threads{suffix}")
-                    get.argtypes, get.restype = (), ctypes.c_int
-                    put.argtypes, put.restype = (ctypes.c_int,), None
-                    return get, put
+        for prefix in ("scipy_", ""):
+            for suffix, integer in (("64_", ctypes.c_int64), ("", ctypes.c_int32)):
+                if not hasattr(lib, f"{prefix}openblas_set_num_threads{suffix}"):
+                    continue
+                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
+                put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                zpotri = getattr(lib, f"{prefix}LAPACKE_zpotri{suffix}", None)
+                if zpotri is not None:
+                    # (matrix layout, uplo, n, a, lda) -> info
+                    zpotri.argtypes = (ctypes.c_int, ctypes.c_char, integer, ctypes.c_void_p,
+                                       integer)
+                    zpotri.restype = integer
+                return (get, put), zpotri
     return None
 
 
-def _openblas_threads():
-    """(get, set) pairs of numpy's bundled OpenBLAS and, once scipy.linalg
-    is loaded, scipy's, in that order; empty when neither uses one. Before
-    that, scipy's OpenBLAS is not even loaded."""
-    packages = ("numpy", "scipy") if "scipy.linalg" in sys.modules else ("numpy",)
-    return tuple(calls for calls in map(_openblas_calls, packages) if calls)
+def _blas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
+    return (_openblas() or (None, None))[0]
+
+
+def _zpotri():
+    """LAPACKE_zpotri of numpy's bundled OpenBLAS, or None."""
+    return (_openblas() or (None, None))[1]
 
 
 class _OneBlasThread(ContextDecorator):
-    """Run the enclosed calls on one thread of each bundled OpenBLAS and
-    restore the caller's counts when the outermost call returns (no-op for
+    """Run the enclosed calls on one thread of numpy's bundled OpenBLAS and
+    restore the caller's count when the outermost call returns (no-op for
     another BLAS). A second thread that must be woken, or that shares a
     core with other work, made the sweep's calls cost up to tens of times
-    their single-thread time. ``find`` returns the (get, set) pairs of the
-    counts, or None."""
+    their single-thread time. ``find`` returns the (get, set) pair of the
+    count, or None."""
 
     def __init__(self, find):
-        self.find, self.lock, self.depth, self.saved = find, threading.Lock(), 0, ()
+        self.find, self.lock, self.depth, self.saved = find, threading.Lock(), 0, None
 
     def __enter__(self):
         with self.lock:
             if self.depth == 0:
-                self.saved = tuple((put, get()) for get, put in self.find() or ())
-                for put, _ in self.saved:
+                self.saved = None
+                if calls := self.find():
+                    get, put = calls
+                    self.saved = put, get()
                     put(1)
             self.depth += 1
 
     def __exit__(self, *exc):
         with self.lock:
             self.depth -= 1
-            if self.depth == 0:
-                for put, count in self.saved:
-                    put(count)
+            if self.depth == 0 and self.saved:
+                put, count = self.saved
+                put(count)
 
 
-one_blas_thread = _OneBlasThread(_openblas_threads)
-
-
-def _lapack():
-    """scipy's LAPACK wrappers, imported at first use."""
-    from scipy.linalg import lapack
-
-    return lapack
+one_blas_thread = _OneBlasThread(_blas_threads)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -188,16 +193,16 @@ def invert_pd(h) -> np.ndarray:
 
     The factor is ``cholesky``'s, with its pivot floor and refusals, which
     numpy names. A single matrix (``ndim == 2``) is then inverted in place
-    in its factor's memory by LAPACK's zpotri, the one call into scipy; a
-    stack takes the batched triangular inverse of L by ``_invert_lower``
-    and the product L^{-H} L^{-1}, which beats a Python call per matrix on
-    the sweep's many small zero blocks. A stack of 1 x 1 matrices whose
-    real parts are all finite and large enough for their reciprocals to
-    stay finite is inverted by the reciprocal of its real part; any other
-    takes the factorization, so it is refused as before.
-
-    scipy is loaded before the pin of ``one_blas_thread`` is entered, so
-    the pin holds scipy's OpenBLAS to one thread too.
+    in its factor's memory by LAPACK's zpotri from numpy's bundled
+    OpenBLAS, on the one thread that ``one_blas_thread`` pins; a nonzero
+    ``info`` from it raises LinAlgError. A stack, and a single matrix where
+    numpy bundles no OpenBLAS with zpotri, takes the batched triangular
+    inverse of L by ``_invert_lower`` and the product L^{-H} L^{-1}, which
+    beats a Python call per matrix on the sweep's many small zero blocks.
+    A stack of 1 x 1 matrices whose real parts are all finite and large
+    enough for their reciprocals to stay finite is inverted by the
+    reciprocal of its real part; any other takes the factorization, so it
+    is refused as before.
 
     A matrix whose inverse overflows, one with an eigenvalue below about
     1e-308, raises OverflowError naming the first such matrix in C order.
@@ -207,15 +212,19 @@ def invert_pd(h) -> np.ndarray:
         re = a.real
         if np.all((re >= _RECIPROCAL_MIN) & (re < np.inf)):
             return (1.0 / re).astype(complex)
-    lapack = _lapack() if a.ndim == 2 else None
     with one_blas_thread:
         lower = cholesky(a)
-        if lower.ndim == 2 and lower.size:
-            # C-ordered L is Fortran-ordered L^T, an upper factor of conj(h):
+        zpotri = _zpotri() if lower.ndim == 2 and lower.size else None
+        if zpotri is not None:
+            # C-ordered L is column-major L^T, an upper factor of conj(h):
             # zpotri leaves the upper triangle of conj(h)^{-1} there, which is
             # the lower triangle of h^{-1} in C order, and copies nothing.
-            inv, _ = lapack.zpotri(lower.T, lower=0, overwrite_c=1)
-            return _finite(_mirror_lower(inv.T))
+            lower = np.ascontiguousarray(lower, dtype=complex)
+            n = lower.shape[0]
+            info = zpotri(_COLUMN_MAJOR, b"U", n, lower.ctypes.data, n)
+            if info:
+                raise np.linalg.LinAlgError(f"zpotri failed with info {info}")
+            return _finite(_mirror_lower(lower))
         with np.errstate(over="ignore", invalid="ignore"):
             # each temporary is dropped as soon as it is used and the
             # symmetrization runs in place, halving first so that an inverse

@@ -581,22 +581,29 @@ class TestPipeline:
 
 
 def test_sequential_estimate_and_match_load_no_scipy(tmp_path):
-    # scipy serves only Capon's single inverse, and ndspec.oracle only tests
-    # and scripts; a fresh interpreter's sequential estimate and match import
-    # none of them, and neither does a refused estimate, whose failing pivot
-    # numpy names
+    # ndspec.oracle serves only tests and scripts, and the runtime needs no
+    # scipy: a fresh interpreter's sequential and Capon estimates and match
+    # import none of them, and neither do refused estimates, whose failing
+    # pivot numpy names, nor Capon's single inverse, which numpy's own
+    # OpenBLAS runs
     corr, refused = gen_cube(tmp_path), tmp_path / "refused.ndcorr"
     save_ndcorr(CorrelationSignal.from_forward_lags([0.5, 1.0]), refused)
     spectrum, report = str(tmp_path / "s.csv"), str(tmp_path / "m.csv")
+    capon = str(tmp_path / "capon.csv")
     script = (
         "import json, sys\n"
         "import ndspec.cli\n"
         f"codes = [ndspec.cli.main(['estimate', {str(corr)!r}, '--grid', '8,8,8', "
         f"'--out', {spectrum!r}]),\n"
         f"         ndspec.cli.main(['match', {spectrum!r}, {str(corr)!r}, '--out', {report!r}]),\n"
-        f"         ndspec.cli.main(['estimate', {str(refused)!r}, '--grid', '4'])]\n"
+        f"         ndspec.cli.main(['estimate', {str(refused)!r}, '--grid', '4']),\n"
+        f"         ndspec.cli.main(['estimate', {str(corr)!r}, '--grid', '8,8,8', "
+        f"'--method', 'capon', '--out', {capon!r}]),\n"
+        f"         ndspec.cli.main(['estimate', {str(refused)!r}, '--grid', '4', "
+        f"'--method', 'capon'])]\n"
         "print(json.dumps([codes, 'scipy.linalg' in sys.modules, 'scipy' in sys.modules,\n"
         "                  'ndspec.oracle' in sys.modules]))\n"
     )
-    assert run_fresh(script) == [[0, 0, 3], False, False, False]
-    assert (tmp_path / "s.csv").read_text().startswith("f_0,f_1,f_2,power\n")
+    assert run_fresh(script) == [[0, 0, 3, 0, 3], False, False, False]
+    for out in ("s.csv", "capon.csv"):
+        assert (tmp_path / out).read_text().startswith("f_0,f_1,f_2,power\n")

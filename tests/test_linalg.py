@@ -3,7 +3,6 @@ import threading
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from conftest import random_correlation, random_pd_matrix, run_fresh
 from ndspec import (
@@ -222,6 +221,13 @@ class TestInvertPd:
         assert single.value.index == () and single.value.pivot_index == 0
 
 
+def _without_zpotri(monkeypatch, h):
+    """``invert_pd(h)`` as where numpy bundles no OpenBLAS with zpotri."""
+    with monkeypatch.context() as patched:
+        patched.setattr(linalg, "_zpotri", lambda: None)
+        return invert_pd(h)
+
+
 def _ldl(n, k, pivot):
     """L D L^H with L unit lower triangular and D = I but D_k = ``pivot``:
     the Schur complement that the Cholesky factorization meets at pivot k
@@ -237,15 +243,16 @@ def _ldl(n, k, pivot):
 @pytest.mark.parametrize("n", [5, 33, 70, 200])
 @pytest.mark.parametrize("at", ["first", "second", "middle", "last"])
 @pytest.mark.parametrize("pivot", [-0.5, 1e-14])
-def test_a_built_failure_is_named_at_its_pivot(n, at, pivot):
+def test_a_built_failure_is_named_at_its_pivot(n, at, pivot, monkeypatch):
     # below the floor, 1e-12 of the largest diagonal entry, or negative; the
     # value within n eps of the largest diagonal entry, as a factorization
-    # forms it, through cholesky and invert_pd, alone and in a stack
+    # forms it, through cholesky and invert_pd, alone and in a stack, and
+    # through invert_pd where numpy's BLAS has no zpotri
     k = {"first": 0, "second": 1, "middle": n // 2, "last": n - 1}[at]
     a = _ldl(n, k, pivot)
     stack = np.stack([np.eye(n), a, _ldl(n, 0, -1.0)]).reshape(1, 3, n, n)
     bound = n * np.finfo(float).eps * a.diagonal().real.max()
-    for call in (cholesky, invert_pd):
+    for call in (cholesky, invert_pd, lambda h: _without_zpotri(monkeypatch, h)):
         for h, index in ((a, ()), (stack, (0, 1))):
             with pytest.raises(NotPositiveDefinite) as info:
                 call(h)
@@ -279,29 +286,56 @@ class TestInverseOverflow:
                                    atol=1e-12)
 
 
+class TestWithoutZpotri:
+    """Where numpy bundles no OpenBLAS with zpotri, a single matrix takes
+    the stacked path: the same inverse, exactly Hermitian, and the same
+    refusals."""
+
+    def test_matches_the_lapack_path(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        for n in (1, 2, 9, 33, 64, 65, 150):
+            h = random_pd_matrix(rng, n)
+            lapack, fallback = invert_pd(h), _without_zpotri(monkeypatch, h)
+            assert np.max(np.abs(fallback - lapack)) <= 1e-12 * np.max(np.abs(lapack))
+
+    def test_exactly_hermitian_with_real_diagonal(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        for n in (1, 3, 63, 64, 65, 129):
+            out = _without_zpotri(monkeypatch, random_pd_matrix(rng, n))
+            assert np.array_equal(out, out.conj().T)
+            assert np.all(out.diagonal().imag == 0.0)
+            assert not np.any(np.signbit(out.diagonal().imag))
+
+    def test_overflow_is_refused(self, monkeypatch):
+        with pytest.raises(OverflowError) as info:
+            _without_zpotri(monkeypatch, TestInverseOverflow.TINY)
+        assert str(info.value) == "the inverse overflows the double range"
+
+
+@pytest.mark.parametrize("info", [1, -4])
+def test_a_nonzero_zpotri_info_raises(monkeypatch, info):
+    monkeypatch.setattr(linalg, "_zpotri", lambda: lambda *args: info)
+    with pytest.raises(np.linalg.LinAlgError, match=f"info {info}"):
+        invert_pd(random_pd_matrix(np.random.default_rng(23), 4))
+
+
 _FIRST_INVERSE = """
-import json, sys, types
+import json, sys
 import numpy as np
 from ndspec import invert_pd, linalg
 
-pools = [linalg._openblas_calls(package) for package in ("numpy", "scipy")]
-for _, put in pools:
-    put(2)
-loaded, real, seen = "scipy.linalg" in sys.modules, linalg._lapack, []
+get, put = linalg._blas_threads()
+put(2)
+real, seen = linalg._zpotri(), []
 
-def spying():
-    lapack = real()
+def zpotri(*args):
+    seen.append(get())
+    return real(*args)
 
-    def zpotri(*args, **kwargs):
-        seen.append([get() for get, _ in pools])
-        return lapack.zpotri(*args, **kwargs)
-
-    return types.SimpleNamespace(zpotri=zpotri)
-
-linalg._lapack = spying
+linalg._zpotri = lambda: zpotri
 h = np.array([[2.0, 1.0], [1.0, 2.0]])
 np.testing.assert_allclose(invert_pd(h), np.linalg.inv(h), rtol=1e-14)
-print(json.dumps([loaded, seen, [get() for get, _ in pools]]))
+print(json.dumps([seen, get(), "scipy.linalg" in sys.modules]))
 """
 
 
@@ -315,7 +349,7 @@ class TestOneBlasThread:
             calls.append(n)
             count[0] = n
 
-        return linalg._OneBlasThread(lambda: ((lambda: count[0], put),)), calls
+        return linalg._OneBlasThread(lambda: (lambda: count[0], put)), calls
 
     def test_nested_calls_set_once_and_restore_once(self):
         count = [4]
@@ -394,25 +428,32 @@ class TestOneBlasThread:
         assert calls == [1, 4]
 
     @staticmethod
-    def openblas_get(package, config):
-        """The thread-count getter of ``package``'s bundled OpenBLAS; skips
-        the test when its build ``config`` names another BLAS."""
+    def openblas_get():
+        """The thread-count getter of numpy's bundled OpenBLAS; skips the
+        test when numpy is built with another BLAS."""
+        config = getattr(np.__config__, "CONFIG", {})
         if "openblas" not in config.get("Build Dependencies", {}).get("blas", {}).get("name", ""):
-            pytest.skip(f"{package} is not built with OpenBLAS here")
-        assert linalg._openblas_calls(package) is not None
-        return linalg._openblas_calls(package)[0]
+            pytest.skip("numpy is not built with OpenBLAS here")
+        assert linalg._blas_threads() is not None
+        return linalg._blas_threads()[0]
 
-    def test_first_inverse_of_a_process_pins_both_libraries(self):
-        # invert_pd first imports scipy, before it enters its pin, so the pin
-        # holds scipy's OpenBLAS as well as numpy's to one thread through the
-        # process's first zpotri; both pools start at 2 threads and are
-        # restored to 2
-        self.openblas_get("numpy", getattr(np.__config__, "CONFIG", {}))
-        self.openblas_get("scipy", scipy.show_config(mode="dicts"))
-        assert run_fresh(_FIRST_INVERSE) == [False, [[1, 1]], [2, 2]]
+    @staticmethod
+    def zpotri():
+        """numpy's OpenBLAS zpotri; skips the test when it has none."""
+        if linalg._zpotri() is None:
+            pytest.skip("numpy bundles no OpenBLAS with LAPACKE_zpotri here")
+        return linalg._zpotri()
+
+    def test_first_inverse_of_a_process_calls_zpotri_once_on_one_thread(self):
+        # the process's first inverse runs zpotri once, inside the pin, on
+        # one thread; a caller's count of 2 is restored, and scipy is never
+        # loaded
+        self.openblas_get()
+        self.zpotri()
+        assert run_fresh(_FIRST_INVERSE) == [[1], 2, False]
 
     def test_sweep_runs_on_one_thread(self, monkeypatch):
-        get = self.openblas_get("numpy", getattr(np.__config__, "CONFIG", {}))
+        get = self.openblas_get()
         before, seen = get(), {"factor": [], "inverse": [], "fourier sum": []}
 
         class CountedBlocks(np.ndarray):
@@ -446,46 +487,42 @@ class TestOneBlasThread:
         assert get() == before
 
     def test_lag_box_transforms_run_on_one_thread(self, monkeypatch):
-        get = self.openblas_get("numpy", getattr(np.__config__, "CONFIG", {}))
+        get = self.openblas_get()
         contract, seen = np.tensordot, []
         monkeypatch.setattr(np, "tensordot",
                             lambda *args, **kwargs: seen.append(get()) or contract(*args, **kwargs))
         gamma, grid = (2, 3), SpectralGridSpec((4, 5))
         c = random_correlation(np.random.default_rng(18), gamma)
-        original = [(put, get()) for get, put in linalg._openblas_threads()]
+        put = linalg._blas_threads()[1]
+        original = get()
         try:
-            for put, _ in original:
-                put(2)
+            put(2)
             capon_spectrum(invert_pd(assemble(c).entries), DimSpec(gamma), grid)
             correlation_match(sequential_spectrum(c, grid), c)
             assert get() == 2
         finally:
-            for put, count in original:
-                put(count)
+            put(original)
         # one partial DFT pass per axis in each
         assert seen == [1] * 4
 
-    def test_single_inverse_pins_both_libraries(self, monkeypatch):
-        # Capon's single inverse, numpy's cholesky then scipy's zpotri, is the
-        # one call that crosses the two libraries
-        get_numpy = self.openblas_get("numpy", getattr(np.__config__, "CONFIG", {}))
-        get_scipy = self.openblas_get("scipy", scipy.show_config(mode="dicts"))
-        inverse, seen = scipy.linalg.lapack.zpotri, []
+    def test_single_inverse_calls_zpotri_once_on_one_thread(self, monkeypatch):
+        # Capon's single inverse: numpy's cholesky, then zpotri from the same
+        # OpenBLAS, both inside the pin
+        get = self.openblas_get()
+        real, seen = self.zpotri(), []
 
-        def spy(*args, **kwargs):
-            seen.append((get_numpy(), get_scipy()))
-            return inverse(*args, **kwargs)
+        def spy(*args):
+            seen.append(get())
+            return real(*args)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "zpotri", spy)
+        monkeypatch.setattr(linalg, "_zpotri", lambda: spy)
         h = random_pd_matrix(np.random.default_rng(17), 6)
-        original = [(put, get()) for get, put in linalg._openblas_threads()]
+        put, original = linalg._blas_threads()[1], get()
         try:
             # a caller's count other than 1, so that restoring it shows
-            for put, _ in original:
-                put(2)
+            put(2)
             np.testing.assert_allclose(invert_pd(h), np.linalg.inv(h), rtol=1e-10, atol=1e-12)
-            assert (get_numpy(), get_scipy()) == (2, 2)
+            assert get() == 2
         finally:
-            for put, count in original:
-                put(count)
-        assert seen == [(1, 1)]
+            put(original)
+        assert seen == [1]
