@@ -8,18 +8,22 @@ name the first failing matrix and pivot. numpy alone names it, halving
 the failing matrix into a leading block and its Schur complement until
 one pivot is left.
 
-A single matrix is inverted from its factor in place by LAPACK's zpotri,
-about a quarter of the work of inverting the factor and multiplying it
-out. It is called through ctypes from the OpenBLAS that numpy bundles,
-the library whose thread count ``one_blas_thread`` pins, so the package
-needs no LAPACK of its own. A stack stays in numpy's batched calls:
-zpotri takes one matrix per Python call, and a sweep stage's stack can
-hold thousands of small zero blocks. Its factors are inverted by
-``_invert_lower``, the triangular inverse that the sequential estimator's
-block recursion uses too; so is a single matrix where numpy uses another
-BLAS. A stack of 1 x 1 matrices, the last sweep stage's zero blocks, is
-inverted by a reciprocal when it would factor. An inverse that overflows
-the double range is refused with OverflowError.
+A single matrix is factored and inverted in place, in one C-ordered copy
+of it, by LAPACK's zpotrf and zpotri: numpy's Cholesky would copy the
+matrix into Fortran order and back, and zpotri is about a quarter of the
+work of inverting the factor and multiplying it out. Both are called
+through ctypes from the OpenBLAS that numpy bundles, the library whose
+thread count ``one_blas_thread`` pins, so the package needs no LAPACK of
+its own. A factor that zpotrf rejects, or whose pivots miss the floor, is
+handed back to numpy's Cholesky, which accepts it or names the refusal.
+A stack stays in numpy's batched calls: zpotri takes one matrix per
+Python call, and a sweep stage's stack can hold thousands of small zero
+blocks. Its factors are inverted by ``_invert_lower``, the triangular
+inverse that the sequential estimator's block recursion uses too; so is
+a single matrix where numpy uses another BLAS. A stack of 1 x 1
+matrices, the last sweep stage's zero blocks, is inverted by a
+reciprocal when it would factor. An inverse that overflows the double
+range is refused with OverflowError.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import functools
 import threading
 from contextlib import ContextDecorator
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,13 +53,23 @@ _RECIPROCAL_MIN = 2.0 / np.finfo(float).max
 _COLUMN_MAJOR = 102
 
 
+class _OpenBlas(NamedTuple):
+    """The calls of numpy's bundled OpenBLAS that the package uses: the
+    (get, set) pair of its thread count, and its LAPACKE zpotrf_work and
+    zpotri, each None where the library lacks it. Both LAPACKE calls take
+    (matrix layout, uplo, n, a, lda) and return info."""
+
+    threads: tuple
+    zpotrf: object
+    zpotri: object
+
+
 @functools.cache
-def _openblas():
-    """numpy's bundled OpenBLAS: the (get, set) pair of its thread count and
-    its LAPACKE zpotri (None when it lacks one), or None when numpy uses
-    another BLAS. The symbols carry a ``64_`` suffix in a build with 64-bit
-    integers and none in one with 32-bit integers; the integer arguments of
-    zpotri follow its suffix."""
+def _openblas() -> _OpenBlas | None:
+    """numpy's bundled OpenBLAS, or None when numpy uses another BLAS. The
+    symbols carry a ``64_`` suffix in a build with 64-bit integers and none
+    in one with 32-bit integers; the integer arguments of the LAPACKE
+    calls follow its suffix."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in libs.glob("*openblas*"):
         lib = ctypes.CDLL(str(path))
@@ -66,24 +81,30 @@ def _openblas():
                 put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
                 get.argtypes, get.restype = (), ctypes.c_int
                 put.argtypes, put.restype = (ctypes.c_int,), None
-                zpotri = getattr(lib, f"{prefix}LAPACKE_zpotri{suffix}", None)
-                if zpotri is not None:
-                    # (matrix layout, uplo, n, a, lda) -> info
-                    zpotri.argtypes = (ctypes.c_int, ctypes.c_char, integer, ctypes.c_void_p,
-                                       integer)
-                    zpotri.restype = integer
-                return (get, put), zpotri
+                calls = {}
+                for name in ("zpotrf_work", "zpotri"):
+                    call = calls[name] = getattr(lib, f"{prefix}LAPACKE_{name}{suffix}", None)
+                    if call is not None:
+                        call.argtypes = (ctypes.c_int, ctypes.c_char, integer, ctypes.c_void_p,
+                                         integer)
+                        call.restype = integer
+                return _OpenBlas((get, put), calls["zpotrf_work"], calls["zpotri"])
     return None
 
 
 def _blas_threads():
     """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
-    return (_openblas() or (None, None))[0]
+    return getattr(_openblas(), "threads", None)
+
+
+def _zpotrf():
+    """LAPACKE_zpotrf_work of numpy's bundled OpenBLAS, or None."""
+    return getattr(_openblas(), "zpotrf", None)
 
 
 def _zpotri():
     """LAPACKE_zpotri of numpy's bundled OpenBLAS, or None."""
-    return (_openblas() or (None, None))[1]
+    return getattr(_openblas(), "zpotri", None)
 
 
 class _OneBlasThread(ContextDecorator):
@@ -192,17 +213,18 @@ def invert_pd(h) -> np.ndarray:
     exactly Hermitian with a real diagonal.
 
     The factor is ``cholesky``'s, with its pivot floor and refusals, which
-    numpy names. A single matrix (``ndim == 2``) is then inverted in place
-    in its factor's memory by LAPACK's zpotri from numpy's bundled
-    OpenBLAS, on the one thread that ``one_blas_thread`` pins; a nonzero
-    ``info`` from it raises LinAlgError. A stack, and a single matrix where
-    numpy bundles no OpenBLAS with zpotri, takes the batched triangular
-    inverse of L by ``_invert_lower`` and the product L^{-H} L^{-1}, which
-    beats a Python call per matrix on the sweep's many small zero blocks.
-    A stack of 1 x 1 matrices whose real parts are all finite and large
-    enough for their reciprocals to stay finite is inverted by the
-    reciprocal of its real part; any other takes the factorization, so it
-    is refused as before.
+    numpy names. A single matrix (``ndim == 2``) is factored by LAPACK's
+    zpotrf and inverted by its zpotri, both from numpy's bundled OpenBLAS,
+    in place in one copy of the input, on the one thread that
+    ``one_blas_thread`` pins; a nonzero ``info`` from zpotri raises
+    LinAlgError. A stack, and a single matrix where numpy bundles no
+    OpenBLAS with zpotri, takes the batched triangular inverse of L by
+    ``_invert_lower`` and the product L^{-H} L^{-1}, which beats a Python
+    call per matrix on the sweep's many small zero blocks. A stack of
+    1 x 1 matrices whose real parts are all finite and large enough for
+    their reciprocals to stay finite is inverted by the reciprocal of its
+    real part; any other takes the factorization, so it is refused as
+    before.
 
     A matrix whose inverse overflows, one with an eigenvalue below about
     1e-308, raises OverflowError naming the first such matrix in C order.
@@ -213,18 +235,18 @@ def invert_pd(h) -> np.ndarray:
         if np.all((re >= _RECIPROCAL_MIN) & (re < np.inf)):
             return (1.0 / re).astype(complex)
     with one_blas_thread:
-        lower = cholesky(a)
-        zpotri = _zpotri() if lower.ndim == 2 and lower.size else None
+        zpotri = _zpotri() if a.ndim == 2 and a.size else None
         if zpotri is not None:
             # C-ordered L is column-major L^T, an upper factor of conj(h):
             # zpotri leaves the upper triangle of conj(h)^{-1} there, which is
             # the lower triangle of h^{-1} in C order, and copies nothing.
-            lower = np.ascontiguousarray(lower, dtype=complex)
+            lower = _factor_single(a)
             n = lower.shape[0]
             info = zpotri(_COLUMN_MAJOR, b"U", n, lower.ctypes.data, n)
             if info:
                 raise np.linalg.LinAlgError(f"zpotri failed with info {info}")
             return _finite(_mirror_lower(lower))
+        lower = cholesky(a)
         with np.errstate(over="ignore", invalid="ignore"):
             # each temporary is dropped as soon as it is used and the
             # symmetrization runs in place, halving first so that an inverse
@@ -236,6 +258,29 @@ def invert_pd(h) -> np.ndarray:
             inv *= 0.5
             inv += inv.conj().swapaxes(-1, -2)
     return _finite(inv)
+
+
+def _factor_single(a: np.ndarray) -> np.ndarray:
+    """``cholesky(a)`` of one nonempty matrix, C-ordered, in the lower
+    triangle of an array whose strict upper triangle is unspecified.
+
+    zpotrf factors one C-ordered copy of ``a`` in place: read column-major,
+    the copy is a^T = conj(a), and the upper factor U of conj(a) that it
+    leaves there reads back in C order as U^T, the lower factor of ``a``.
+    The _work call skips LAPACKE's scan of the input for NaN, which the
+    pivot floor refuses anyway. When zpotrf rejects a pivot, or a pivot
+    misses the floor, numpy's ``cholesky`` decides: it accepts the matrix
+    or names the refusal as it does for every caller.
+    """
+    zpotrf, n = _zpotrf(), a.shape[-1]
+    if zpotrf is not None and a.shape == (n, n):
+        lower = a.copy()
+        floor = PD_PIVOT_REL * np.max(a.diagonal().real, initial=0.0)
+        if (zpotrf(_COLUMN_MAJOR, b"U", n, lower.ctypes.data, n) == 0
+                and np.all(lower.diagonal().real ** 2 > floor)):
+            return lower
+        del lower
+    return np.ascontiguousarray(cholesky(a))
 
 
 def _finite(inv: np.ndarray) -> np.ndarray:
@@ -274,7 +319,8 @@ def _mirror_lower(a: np.ndarray) -> np.ndarray:
     conjugated strict lower triangle and make its diagonal real, in place.
 
     Rows go in blocks of _ROW_BLOCK, so the temporaries stay a small
-    fraction of ``a``: the q x q inverse is the memory peak of Capon.
+    fraction of ``a``: Capon's memory peak is its q x q input and the one
+    copy of it that ``invert_pd`` factors and inverts in place.
     """
     n = a.shape[0]
     rows = min(n, _ROW_BLOCK)

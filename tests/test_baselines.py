@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -113,8 +114,30 @@ def extended_tables(gamma, counts, sign):
     return tables
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
-                    reason="long double has double's precision here")
+def extended_fold(r_inv, gamma):
+    """Lag sums B(t) of ``r_inv`` over m(i) - m(j) = t, summed in long double."""
+    gather = _lag_gather(gamma, Nesting.identity(len(gamma))).ravel()
+    order = np.argsort(gather, kind="stable")
+    box = tuple(2 * g - 1 for g in gamma)
+    starts = np.searchsorted(gather[order], np.arange(np.prod(box)))
+    values = r_inv.ravel()[order].astype(np.clongdouble)
+    return np.add.reduceat(values, starts).reshape(box)
+
+
+def extended_denominator(r_inv, gamma, counts):
+    """Capon's denominator a^H R^{-1} a on the grid, folded and transformed
+    in long double."""
+    reference = extended_fold(r_inv, gamma)
+    for table in extended_tables(gamma, counts, +1):
+        reference = np.tensordot(reference, table, axes=(0, 1))
+    return reference.real
+
+
+LONG_DOUBLE = pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                                 reason="long double has double's precision here")
+
+
+@LONG_DOUBLE
 class TestExtendedPrecision:
     """The lag-box transforms against the same sums in long double, on the
     line spectrum of the benchmark's cube at seed 7: orders (4, 4, 4) on
@@ -132,14 +155,8 @@ class TestExtendedPrecision:
         r_inv = invert_pd(assemble(self.signal()).entries)
         denominator = 1.0 / capon_spectrum(r_inv, DimSpec(self.gamma),
                                            SpectralGridSpec(self.counts)).power
-        # the lag sums B(t) as the code folds them, then transformed in long double
-        gather = _lag_gather(self.gamma, Nesting.identity(3)).ravel()
-        sums = (np.bincount(gather, r_inv.real.ravel(), 7**3)
-                + 1j * np.bincount(gather, r_inv.imag.ravel(), 7**3))
-        reference = sums.reshape(7, 7, 7).astype(np.clongdouble)
-        for table in extended_tables(self.gamma, self.counts, +1):
-            reference = np.tensordot(reference, table, axes=(0, 1))
-        rel = np.abs(denominator - reference.real) / np.abs(reference.real)
+        reference = extended_denominator(r_inv, self.gamma, self.counts)
+        rel = np.abs(denominator - reference) / np.abs(reference)
         assert rel.max() <= 1e-12
 
     def test_reconstructed_lags(self):
@@ -156,6 +173,43 @@ class TestExtendedPrecision:
         # measured 9.6e-9 (a full-grid FFT: 3.8e-9), at the small lags
         # that the line cells swamp
         assert rel.max() <= 1e-7
+
+
+class TestWideFold:
+    """Capon's fold on the benchmark's wide input at seed 7: the product of
+    three seeded order-10 factors, q = 1000, on 8^3."""
+
+    gamma, counts = (10, 10, 10), (8, 8, 8)
+
+    @pytest.fixture(scope="class")
+    def r_inv(self):
+        rng = np.random.default_rng(7)
+        factors = [random_correlation(rng, (g,)) for g in self.gamma]
+        lags = factors[0].lags
+        for factor in factors[1:]:
+            lags = np.multiply.outer(lags, factor.lags)
+        return invert_pd(assemble(CorrelationSignal(self.gamma, lags)).entries)
+
+    @LONG_DOUBLE
+    def test_denominator_within_1e12_of_long_double(self, r_inv):
+        # a fold of sequential sums over whole diagonals measured 2.2e-12
+        denominator = 1.0 / capon_spectrum(r_inv, DimSpec(self.gamma),
+                                           SpectralGridSpec(self.counts)).power
+        reference = extended_denominator(r_inv, self.gamma, self.counts)
+        rel = np.abs(denominator - reference) / np.abs(reference)
+        assert rel.max() <= 1e-12
+
+    def test_fold_memory_is_a_fraction_of_the_inverse(self, r_inv):
+        # the first fold keeps 19 / 100 of R^{-1}; a q^2 gather index and
+        # real and imaginary copies kept about r_inv.nbytes
+        grid = SpectralGridSpec(self.counts)
+        tracemalloc.start()
+        try:
+            capon_spectrum(r_inv, DimSpec(self.gamma), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < r_inv.nbytes / 4 + 8 * grid.size
 
 
 class TestCapon:

@@ -1,3 +1,4 @@
+import ctypes
 import sys
 import threading
 
@@ -311,6 +312,60 @@ class TestWithoutZpotri:
             _without_zpotri(monkeypatch, TestInverseOverflow.TINY)
         assert str(info.value) == "the inverse overflows the double range"
 
+    @pytest.mark.parametrize("missing", [("zpotrf",), ("zpotrf", "zpotri")])
+    def test_a_lookup_without_zpotrf_inverts_and_refuses_alike(self, monkeypatch, missing):
+        # without zpotrf numpy factors and zpotri inverts; a lookup with
+        # neither call takes the stacked path
+        real = linalg._openblas()
+        if real is None:
+            pytest.skip("numpy does not bundle OpenBLAS here")
+        rng = np.random.default_rng(24)
+        cases = [random_pd_matrix(rng, n) for n in (1, 2, 33, 150)]
+        refused = [np.diag([1.0, 1e-13, 1.0]), _ldl(70, 35, 1e-14), _ldl(33, 0, -0.5)]
+        expected = [invert_pd(h) for h in cases]
+        refusals = []
+        for h in refused:
+            with pytest.raises(NotPositiveDefinite) as info:
+                invert_pd(h)
+            refusals.append((info.value.pivot_index, info.value.pivot_value, info.value.index))
+        with monkeypatch.context() as patched:
+            patched.setattr(linalg, "_openblas",
+                            lambda: real._replace(**dict.fromkeys(missing)))
+            assert all(getattr(linalg, f"_{name}")() is None for name in missing)
+            for h, lapack in zip(cases, expected):
+                out = invert_pd(h)
+                assert np.max(np.abs(out - lapack)) <= 1e-12 * np.max(np.abs(lapack))
+                assert np.array_equal(out, out.conj().T)
+            for h, refusal in zip(refused, refusals):
+                with pytest.raises(NotPositiveDefinite) as info:
+                    invert_pd(h)
+                assert (info.value.pivot_index, info.value.pivot_value,
+                        info.value.index) == refusal
+
+
+def test_a_zpotrf_refusal_is_decided_by_numpy(monkeypatch):
+    # a factor that zpotrf rejects, or whose pivot misses the floor, goes to
+    # numpy's cholesky, which here accepts the matrix: the inverse is unchanged
+    h = random_pd_matrix(np.random.default_rng(25), 40)
+    expected = invert_pd(h)
+    for info in (0, 3):
+        def zpotrf(layout, uplo, n, data, lda, info=info):
+            np.ctypeslib.as_array(ctypes.cast(data, ctypes.POINTER(ctypes.c_double)),
+                                  (2 * n * n,))[:] = 0.0
+            return info
+        monkeypatch.setattr(linalg, "_zpotrf", lambda: zpotrf)
+        np.testing.assert_allclose(invert_pd(h), expected, rtol=1e-12, atol=1e-14)
+
+
+def test_the_zpotrf_factor_is_numpys():
+    rng = np.random.default_rng(26)
+    for n in (1, 5, 64, 129):
+        h = random_pd_matrix(rng, n)
+        lower = np.tril(linalg._factor_single(h))
+        factor = cholesky(h)
+        assert lower.flags.c_contiguous
+        assert np.max(np.abs(lower - factor)) <= 1e-13 * np.max(np.abs(factor))
+
 
 @pytest.mark.parametrize("info", [1, -4])
 def test_a_nonzero_zpotri_info_raises(monkeypatch, info):
@@ -506,16 +561,19 @@ class TestOneBlasThread:
         assert seen == [1] * 4
 
     def test_single_inverse_calls_zpotri_once_on_one_thread(self, monkeypatch):
-        # Capon's single inverse: numpy's cholesky, then zpotri from the same
-        # OpenBLAS, both inside the pin
+        # Capon's single inverse: zpotrf, then zpotri from the same OpenBLAS,
+        # each once and both inside the pin
         get = self.openblas_get()
-        real, seen = self.zpotri(), []
+        self.zpotri()
+        seen = []
 
-        def spy(*args):
-            seen.append(get())
-            return real(*args)
+        def spy(name):
+            real = getattr(linalg, f"_{name}")()
+            assert real is not None
+            return lambda *args: seen.append((name, get())) or real(*args)
 
-        monkeypatch.setattr(linalg, "_zpotri", lambda: spy)
+        for name, call in [(name, spy(name)) for name in ("zpotrf", "zpotri")]:
+            monkeypatch.setattr(linalg, f"_{name}", lambda call=call: call)
         h = random_pd_matrix(np.random.default_rng(17), 6)
         put, original = linalg._blas_threads()[1], get()
         try:
@@ -525,4 +583,4 @@ class TestOneBlasThread:
             assert get() == 2
         finally:
             put(original)
-        assert seen == [1]
+        assert seen == [("zpotrf", 1), ("zpotri", 1)]
