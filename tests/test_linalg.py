@@ -572,8 +572,8 @@ class TestOneBlasThread:
             assert real is not None
             return lambda *args: seen.append((name, get())) or real(*args)
 
-        for name, call in [(name, spy(name)) for name in ("zpotrf", "zpotri")]:
-            monkeypatch.setattr(linalg, f"_{name}", lambda call=call: call)
+        for name in ("zpotrf", "zpotri"):
+            monkeypatch.setattr(linalg, f"_{name}", lambda call=spy(name): call)
         h = random_pd_matrix(np.random.default_rng(17), 6)
         put, original = linalg._blas_threads()[1], get()
         try:
