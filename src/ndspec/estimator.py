@@ -53,7 +53,8 @@ from .correlation import CorrelationSignal, _lag_gather
 from .errors import DimensionMismatch, NotPositiveDefinite
 from .grid import SpectralGridSpec, SpectrumEstimate, _phases, _roots
 from .indexing import DimSpec, Nesting
-from .linalg import PD_PIVOT_REL, _cholesky, _invert_lower, invert_pd, one_blas_thread
+from .linalg import (PD_PIVOT_REL, _cholesky, _cholesky_inverse, _solve_downdate, invert_pd,
+                     one_blas_thread)
 
 # Bytes of products that one step of the recursion's in-place predictor
 # update holds: all of an order's block pairs at once on small blocks, one
@@ -273,32 +274,40 @@ def _forward_predictor(c: CorrelationSignal) -> tuple[np.ndarray, np.ndarray]:
     The forward solution x (x_0 = I) of the n + 1 leading block-rows has
     error P. Every T(k) is persymmetric, J T(k) J = T(k)^T with J the
     reversal of the inner flat index, so the backward solution and error
-    are y_k = J conj(x_{n-k}) J and Q = J conj(P) J, and each order costs
-    one h x h inversion.
+    are y_k = J conj(x_{n-k}) J and Q = J conj(P) J, and each order
+    factors one h x h matrix, Q = L L^H.
 
     The recursion holds x and the lag row T(1..g-1), about
     2 gamma_{d-1} h^2 complex values, and O(h^2) besides. As x_0 = I, an
     order's Delta = sum_i T(n + 1 - i) x_i starts from T(n + 1) and
-    multiplies only x_1..x_n; x_{n+1} = -Q^{-1} Delta is written in place,
-    after P's update. Block m of x_1..x_n then gains y_{m-1} x_{n+1} =
-    J conj(x_{n+1-m} J conj(x_{n+1})), a product of its partner n + 1 - m,
-    so x is updated in place by block pairs, both products of a pair
-    formed before either block is written; a self-paired middle block is
-    updated once. Pairs go in groups whose products fit _PAIR_BYTES: every
-    pair of an order in one GEMM on small blocks, one pair at a time on
-    large ones.
+    multiplies only x_1..x_n; it is formed, negated, in x_{n+1}, which
+    ``linalg._solve_downdate`` then turns into x_{n+1} = -Q^{-1} Delta in
+    place by two triangular solves with L, W = L^{-1} Delta and
+    L^{-H} W, while it updates P. Block m of x_1..x_n then gains y_{m-1}
+    x_{n+1} = J conj(x_{n+1-m} J conj(x_{n+1})), a product of its partner
+    n + 1 - m, so x is updated in place by block pairs, both products of
+    a pair formed before either block is written; a self-paired middle
+    block is updated once. Pairs go in groups whose products fit
+    _PAIR_BYTES: every pair of an order in one GEMM on small blocks, one
+    pair at a time on large ones.
 
     Q at order n is the Schur complement that the dense Cholesky of R
     factors at block-row n, so it is held to the dense floor, 1e-12 c(0),
-    and a refusal names the dense pivot n h + k. With Q = L L^H, P is
-    updated as the dense Cholesky updates it, P - W^H W with W = L^{-1}
-    Delta: an explicit Q^{-1} in that product loses the small pivots of a
+    and a refusal names the dense pivot n h + k. P is updated as the dense
+    Cholesky updates it, P - W^H W, by a Hermitian rank-h update of the
+    triangle of P that the next factorization reads, through
+    Q = J conj(P) J: P's upper triangle in C order, which is Q's lower.
+    P's strict lower triangle is stale from the first update on, and
+    nothing reads it. Neither the update nor the solves form L^{-1}: an
+    explicit inverse in that product loses the small pivots of a
     near-singular R and refuses matrices the dense path accepts. A factor
     whose inverse overflows, which only a c(0) far below the other lags
     gives, makes the next Q non-finite; the arithmetic runs without
     overflow or invalid-value warnings, and that Q is refused as the dense
     Cholesky refuses the same pivot. P^{-1} = J conj(Q^{-1}) J is taken
-    from the last order's factor of Q.
+    once, from the last order's factor of Q, by ``linalg._cholesky_inverse``.
+    Where numpy bundles no OpenBLAS, both helpers invert L by
+    ``linalg._invert_lower`` and multiply it out, and P is updated whole.
     """
     t = _toeplitz_blocks(c)
     g, h = t.shape[0], t.shape[-1]
@@ -315,21 +324,19 @@ def _forward_predictor(c: CorrelationSignal) -> tuple[np.ndarray, np.ndarray]:
     pairs_per_step = max(1, _PAIR_BYTES // (2 * x[0].nbytes))
     for n in range(g):
         try:
-            linv = _invert_lower(_cholesky(p[::-1, ::-1].conj(), floor))
+            lower = _cholesky(p[::-1, ::-1].conj(), floor)
         except NotPositiveDefinite as exc:
             raise replace(exc, pivot_index=n * h + exc.pivot_index).tagged(1, ()) from exc
         if n == g - 1:
             break
-        # -Delta; x_0 = I, so -T(n + 1) enters unmultiplied
+        # -Delta, formed in x_{n+1}; x_0 = I, so -T(n + 1) enters unmultiplied
         start = (g - 2 - n) * h
-        delta = row[:, start + h:] @ x[1:n + 1].reshape(-1, h)
-        delta += row[:, start:start + h]
-        w = linv @ delta  # -W
-        del delta
-        p -= w.conj().T @ w
-        # x_{n+1} = -Q^{-1} Delta, written in place
-        np.matmul(linv.conj().T, w, out=x[n + 1])
-        del w, linv
+        np.matmul(row[:, start + h:], x[1:n + 1].reshape(-1, h), out=x[n + 1])
+        x[n + 1] += row[:, start:start + h]
+        # x_{n+1} = -Q^{-1} Delta in place, and P -= W^H W on the triangle
+        # that the next factorization reads
+        _solve_downdate(lower, x[n + 1], p)
+        del lower
         # x_m += y_{m-1} x_{n+1} = J conj(x_{n+1-m} right), m = 1..n, with
         # right = J conj(x_{n+1}): x_m and x_{n+1-m} each add the other's
         # product, both formed before either is written
@@ -349,8 +356,7 @@ def _forward_predictor(c: CorrelationSignal) -> tuple[np.ndarray, np.ndarray]:
                 x[lo:hi] += product.reshape(-1, h, h)[::-1, ::-1]
             del products, product
         del right
-    q_inv = linv.conj().T @ linv
-    return x, q_inv[::-1, ::-1].conj()
+    return x, _cholesky_inverse(lower)[::-1, ::-1].conj()
 
 
 def _unit_scale(c: CorrelationSignal, first, then=()):

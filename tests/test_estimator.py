@@ -487,6 +487,60 @@ class TestFirstBlockColumn:
         assert np.max(np.abs(grouped_p_inv - p_inv)) <= 1e-13 * np.max(np.abs(p_inv))
 
 
+class TestWithoutOpenBlas:
+    """Where numpy bundles no OpenBLAS, the recursion inverts each factor by
+    ``_invert_lower`` and multiplies it out, and takes P^{-1} from the
+    stacked inverse: the same predictor, the same P^{-1} and the same
+    refusals as the triangular solves and zpotri."""
+
+    @staticmethod
+    def both(c, monkeypatch, run=lambda call: call()):
+        """``run`` of _forward_predictor(c) on numpy's OpenBLAS, then
+        without it."""
+        if linalg._openblas() is None:
+            pytest.skip("numpy does not bundle OpenBLAS here")
+        blas = run(lambda: _forward_predictor(c))
+        with monkeypatch.context() as patched:
+            patched.setattr(linalg, "_openblas", lambda: None)
+            return blas, run(lambda: _forward_predictor(c))
+
+    @staticmethod
+    def error(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(a))
+
+    @pytest.mark.parametrize("gamma", [(3, 4), (2, 3, 2)])
+    def test_same_predictor_and_error_inverse(self, gamma, monkeypatch):
+        c = random_correlation(np.random.default_rng(31), gamma)
+        (x, p_inv), (fallback_x, fallback_p_inv) = self.both(c, monkeypatch)
+        assert self.error(x, fallback_x) <= 1e-12
+        assert self.error(p_inv, fallback_p_inv) <= 1e-12
+        assert np.array_equal(p_inv, p_inv.conj().T)
+
+    def test_near_singular_corpus_input(self, monkeypatch):
+        # band 1 input 344, condition 2.1e12: the two paths round apart by
+        # up to about 1e-14 of the condition number over the corpus's 691
+        # inputs that both accept (2.6e-2 here), so a fixed 1e-12 holds only
+        # on well-conditioned inputs
+        gamma, c = _near_singular().corpus_input(ndspec, 1, 344)
+        unit = c._unit_scaled()[1]
+        bound = 1e-12 * np.linalg.cond(assemble(unit).entries)
+        (x, p_inv), (fallback_x, fallback_p_inv) = self.both(unit, monkeypatch)
+        assert gamma == (3, 4)
+        assert self.error(x, fallback_x) <= bound
+        assert self.error(p_inv, fallback_p_inv) <= bound
+
+    @pytest.mark.parametrize("index, gamma", [(16, (3, 4)), (115, (2, 2, 3))])
+    def test_refused_corpus_input(self, index, gamma, monkeypatch):
+        # band 1: pivot 1.2e-12 against a floor of 5.0e-12, and 9.5e-13
+        # against 7.7e-12
+        corpus_gamma, c = _near_singular().corpus_input(ndspec, 1, index)
+        unit = c._unit_scaled()[1]
+        blas, fallback = self.both(unit, monkeypatch, _pivot_refused)
+        assert corpus_gamma == gamma
+        assert blas.stage == fallback.stage == 1
+        assert blas.pivot_index == fallback.pivot_index
+
+
 class TestInvertLower:
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 100, 129])
     def test_matches_the_dense_inverse(self, n):
@@ -511,16 +565,21 @@ class TestInvertLower:
         assert np.max(np.abs(inv - expected) / column_scale) <= 1e-12
 
     @pytest.mark.parametrize("gamma", [(6, 6, 4), (8, 8, 3), (10, 10, 2)])
-    def test_recursion_on_near_singular_lines_with_blocks_over_a_leaf(self, gamma):
-        # h = 36, 64 and 100 rows: every order's factor is inverted by the
-        # block recursion; condition numbers 8e6 to 5e11
+    def test_recursion_on_near_singular_lines_with_blocks_over_a_leaf(self, gamma, monkeypatch):
+        # h = 36, 64 and 100 rows, condition numbers 8e6 to 5e11: the
+        # triangular solves, and where numpy bundles no OpenBLAS every
+        # order's factor inverted by the block recursion
         h = int(np.prod(gamma[:-1]))
         assert h > linalg._TRIANGULAR_LEAF
         for n_lines, noise in ((h // 2, 1e-8), (2 * h, 1e-9)):
             c = _lines(gamma, n_lines, noise, 3)
             dense = dense_column(c).blocks
-            err = np.max(np.abs(first_block_column(c) - dense)) / np.max(np.abs(dense))
-            assert err <= 1e-12 * np.linalg.cond(assemble(c).entries), (n_lines, noise, err)
+            bound = 1e-12 * np.linalg.cond(assemble(c).entries)
+            for lookup in (linalg._openblas, lambda: None):
+                with monkeypatch.context() as patched:
+                    patched.setattr(linalg, "_openblas", lookup)
+                    err = np.max(np.abs(first_block_column(c) - dense)) / np.max(np.abs(dense))
+                assert err <= bound, (n_lines, noise, lookup(), err)
 
 
 def _lines(gamma, n_lines, noise, seed):
@@ -936,6 +995,26 @@ def _near_singular():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_near_singular_input_accepted_by_both_paths():
+    # band 1 input 359: a 40-digit elimination of R puts pivot 26 at
+    # 2.13e-11, three times its floor 7.0e-12. The triangular solves
+    # accept it, as the dense Cholesky does; an explicit inverse of each
+    # factor in W = L^{-1} Delta, the path where numpy bundles no OpenBLAS,
+    # refuses it there with -1.09e-11. The dense sweep, which inverts its
+    # stage-1 zero block in double, is not the reference on such an input,
+    # so the spectra are pinned only to their measured 0.068 apart, within
+    # a margin of 1.5x.
+    if linalg._ztrsm() is None or linalg._zherk() is None:
+        pytest.skip("numpy's OpenBLAS has no ztrsm and zherk here")
+    corpus = _near_singular()
+    gamma, c = corpus.corpus_input(ndspec, 1, 359)
+    grid = SpectralGridSpec((corpus.GRID_COUNT,) * len(gamma))
+    assert gamma == (3, 3, 3)
+    dense, sequential = dense_sweep(c, grid), sequential_spectrum(c, grid).power
+    assert np.all(np.isfinite(sequential)) and np.all(sequential > 0)
+    assert corpus.regular_difference(dense, sequential) <= 0.1
 
 
 def test_near_singular_corpus_is_refused_where_the_dense_sweep_refuses():

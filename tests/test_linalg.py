@@ -367,6 +367,58 @@ def test_the_zpotrf_factor_is_numpys():
         assert np.max(np.abs(lower - factor)) <= 1e-13 * np.max(np.abs(factor))
 
 
+class TestSolveDowndate:
+    """The recursion's step: b <- Q^{-1} b and P -= W^H W, W = L^{-1} b, by
+    ztrsm and zherk on numpy's OpenBLAS, or by the triangular inverse and
+    GEMMs without it."""
+
+    @pytest.mark.parametrize("m, k", [(1, 1), (3, 5), (40, 7)])
+    @pytest.mark.parametrize("blas", [True, False], ids=["openblas", "without"])
+    def test_matches_the_dense_arithmetic(self, m, k, blas, monkeypatch):
+        if blas and (linalg._ztrsm() is None or linalg._zherk() is None):
+            pytest.skip("numpy's OpenBLAS has no ztrsm and zherk here")
+        if not blas:
+            monkeypatch.setattr(linalg, "_openblas", lambda: None)
+        rng = np.random.default_rng((m, k))
+        q, p = random_pd_matrix(rng, m), 10 * random_pd_matrix(rng, k)
+        lower = cholesky(q)
+        b = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+        w = np.linalg.solve(lower, b)
+        expected_b, expected_p = np.linalg.solve(q, b), p - w.conj().T @ w
+        out_b, out_p = b.copy(), p.copy()
+        linalg._solve_downdate(lower, out_b, out_p)
+        upper = np.triu(np.ones((k, k), dtype=bool))
+        assert np.max(np.abs(out_b - expected_b)) <= 1e-12 * np.max(np.abs(expected_b))
+        assert np.max(np.abs(out_p - expected_p)[upper]) <= 1e-12 * np.max(np.abs(expected_p))
+        if blas:  # the strict lower triangle, which no factorization reads, is left as it was
+            assert np.array_equal(out_p[~upper], p[~upper])
+
+    def test_refuses_arrays_it_cannot_pass(self):
+        if linalg._ztrsm() is None or linalg._zherk() is None:
+            pytest.skip("numpy's OpenBLAS has no ztrsm and zherk here")
+        lower, p = np.eye(2, dtype=complex), np.eye(2, dtype=complex)
+        with pytest.raises(ValueError, match="float64 factor"):
+            linalg._solve_downdate(lower.real.copy(), np.ones((2, 2), complex), p)
+        with pytest.raises(ValueError, match=r"\(2, 3\) complex128 block"):
+            linalg._solve_downdate(lower, np.ones((2, 3), complex), p)
+        with pytest.raises(TypeError, match="not C contiguous"):
+            linalg._solve_downdate(lower, np.ones((2, 4), complex)[:, :2], p)
+
+
+def test_the_lapacke_calls_are_the_work_variants():
+    # the _work calls skip LAPACKE's scan of the whole triangle for NaN
+    # before each call; the CBLAS calls are bound beside them
+    blas = linalg._openblas()
+    if blas is None:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    names = {field: getattr(blas, field).__name__ for field in ("zpotrf", "zpotri", "ztrsm",
+                                                                "zherk")}
+    suffix = "64_" if names["zpotri"].endswith("64_") else ""
+    assert {field: name.removeprefix("scipy_") for field, name in names.items()} == {
+        "zpotrf": f"LAPACKE_zpotrf_work{suffix}", "zpotri": f"LAPACKE_zpotri_work{suffix}",
+        "ztrsm": f"cblas_ztrsm{suffix}", "zherk": f"cblas_zherk{suffix}"}
+
+
 @pytest.mark.parametrize("info", [1, -4])
 def test_a_nonzero_zpotri_info_raises(monkeypatch, info):
     monkeypatch.setattr(linalg, "_zpotri", lambda: lambda *args: info)
@@ -507,38 +559,58 @@ class TestOneBlasThread:
         self.zpotri()
         assert run_fresh(_FIRST_INVERSE) == [[1], 2, False]
 
+    @staticmethod
+    def spy(monkeypatch, names, get):
+        """Route each named call of numpy's OpenBLAS (``linalg._<name>``)
+        through a spy; returns the list it fills with (name, thread count)
+        per call. Skips the test when the library lacks one of them."""
+        seen = []
+
+        def spy(name):
+            real = getattr(linalg, f"_{name}")()
+            if real is None:
+                pytest.skip(f"numpy's OpenBLAS has no {name} here")
+            return lambda *args: seen.append((name, get())) or real(*args)
+
+        for name in names:
+            monkeypatch.setattr(linalg, f"_{name}", lambda call=spy(name): call)
+        return seen
+
     def test_sweep_runs_on_one_thread(self, monkeypatch):
         get = self.openblas_get()
-        before, seen = get(), {"factor": [], "inverse": [], "fourier sum": []}
+        before = get()
+        seen = self.spy(monkeypatch, ("ztrsm", "zherk", "zpotri"), get)
 
         class CountedBlocks(np.ndarray):
             """Stage blocks whose products record the thread count."""
 
             def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
                 if ufunc is np.matmul:
-                    seen["fourier sum"].append(get())
+                    seen.append(("fourier sum", get()))
                 plain = [x.view(np.ndarray) if isinstance(x, CountedBlocks) else x
                          for x in inputs]
                 return getattr(ufunc, method)(*plain, **kwargs)
 
-        factor, inverse, stage_field = np.linalg.cholesky, np.linalg.inv, estimator.StageField
+        factor, stage_field = np.linalg.cholesky, estimator.StageField
         monkeypatch.setattr(np.linalg, "cholesky",
-                            lambda a: seen["factor"].append(get()) or factor(a))
-        monkeypatch.setattr(np.linalg, "inv", lambda a: seen["inverse"].append(get()) or inverse(a))
+                            lambda a: seen.append(("factor", get())) or factor(a))
         monkeypatch.setattr(estimator, "StageField", lambda spec, stage, blocks, *weight: (
             stage_field(spec, stage, blocks.view(CountedBlocks), *weight)))
         rng = np.random.default_rng(16)
         sequential_spectrum(random_correlation(rng, (2, 3)), SpectralGridSpec((4, 5)))
-        # one factorization and one triangular inverse per recursion order
-        # (gamma_1 = 3, h = 2); stage 1 sweeps the predictor with the known
-        # P^{-1} and factors nothing, and stage 2's 1 x 1 blocks take a
-        # reciprocal; then one Fourier-sum GEMM per chunk of each swept
-        # axis: stage 1's 5 frequencies in chunks of 2 (128 B of temporaries
-        # each, beside 80 B of roots, within the recursion's 384 B), the last
-        # stage's 4 in chunks of ceil(4 / 8) = 1
-        assert {name: len(counts) for name, counts in seen.items()} == {
-            "factor": 3, "inverse": 3, "fourier sum": 3 + 4}
-        assert set(sum(seen.values(), [])) == {1}
+        # per recursion order that extends the predictor (gamma_1 = 3, h = 2):
+        # one factorization of Q, a triangular solve, the Hermitian update of
+        # P and a second solve; the last order's factor, then one zpotri for
+        # P^{-1}. Stage 1 sweeps the predictor with the known P^{-1} and
+        # factors nothing, and stage 2's 1 x 1 blocks take a reciprocal; then
+        # one Fourier-sum GEMM per chunk of each swept axis: stage 1's 5
+        # frequencies in chunks of 2 (128 B of temporaries each, beside 80 B
+        # of roots, within the recursion's 384 B), the last stage's 4 in
+        # chunks of ceil(4 / 8) = 1
+        order = ["factor", "ztrsm", "zherk", "ztrsm"]
+        assert [name for name, _ in seen] == (
+            order * 2 + ["factor", "zpotri"] + ["fourier sum"] * (3 + 4))
+        assert {count for _, count in seen} == {1}
         assert get() == before
 
     def test_lag_box_transforms_run_on_one_thread(self, monkeypatch):
@@ -564,16 +636,7 @@ class TestOneBlasThread:
         # Capon's single inverse: zpotrf, then zpotri from the same OpenBLAS,
         # each once and both inside the pin
         get = self.openblas_get()
-        self.zpotri()
-        seen = []
-
-        def spy(name):
-            real = getattr(linalg, f"_{name}")()
-            assert real is not None
-            return lambda *args: seen.append((name, get())) or real(*args)
-
-        for name in ("zpotrf", "zpotri"):
-            monkeypatch.setattr(linalg, f"_{name}", lambda call=spy(name): call)
+        seen = self.spy(monkeypatch, ("zpotrf", "zpotri"), get)
         h = random_pd_matrix(np.random.default_rng(17), 6)
         put, original = linalg._blas_threads()[1], get()
         try:
