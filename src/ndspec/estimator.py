@@ -53,8 +53,8 @@ from .correlation import CorrelationSignal, _lag_gather
 from .errors import DimensionMismatch, NotPositiveDefinite
 from .grid import SpectralGridSpec, SpectrumEstimate, _phases, _roots
 from .indexing import DimSpec, Nesting
-from .linalg import (PD_PIVOT_REL, _cholesky, _cholesky_inverse, _solve_downdate, invert_pd,
-                     one_blas_thread)
+from .linalg import (PD_PIVOT_REL, _cholesky_inverse, _factor_single, _solve_downdate,
+                     invert_pd, one_blas_thread)
 
 # Bytes of products that one step of the recursion's in-place predictor
 # update holds: all of an order's block pairs at once on small blocks, one
@@ -304,10 +304,12 @@ def _forward_predictor(c: CorrelationSignal) -> tuple[np.ndarray, np.ndarray]:
     whose inverse overflows, which only a c(0) far below the other lags
     gives, makes the next Q non-finite; the arithmetic runs without
     overflow or invalid-value warnings, and that Q is refused as the dense
-    Cholesky refuses the same pivot. P^{-1} = J conj(Q^{-1}) J is taken
-    once, from the last order's factor of Q, by ``linalg._cholesky_inverse``.
-    Where numpy bundles no OpenBLAS, both helpers invert L by
-    ``linalg._invert_lower`` and multiply it out, and P is updated whole.
+    Cholesky refuses the same pivot. Q is factored by
+    ``linalg._factor_single``, as Capon's matrix is, and P^{-1} =
+    J conj(Q^{-1}) J is taken once, from the last order's factor, by
+    ``linalg._cholesky_inverse``. Where numpy bundles no OpenBLAS, numpy
+    factors Q and solves with L, P is updated whole, and the last factor
+    is inverted by ``linalg._invert_lower``.
     """
     t = _toeplitz_blocks(c)
     g, h = t.shape[0], t.shape[-1]
@@ -324,7 +326,7 @@ def _forward_predictor(c: CorrelationSignal) -> tuple[np.ndarray, np.ndarray]:
     pairs_per_step = max(1, _PAIR_BYTES // (2 * x[0].nbytes))
     for n in range(g):
         try:
-            lower = _cholesky(p[::-1, ::-1].conj(), floor)
+            lower = _factor_single(p[::-1, ::-1].conj(), floor)
         except NotPositiveDefinite as exc:
             raise replace(exc, pivot_index=n * h + exc.pivot_index).tagged(1, ()) from exc
         if n == g - 1:

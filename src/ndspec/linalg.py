@@ -8,32 +8,34 @@ name the first failing matrix and pivot. numpy alone names it, halving
 the failing matrix into a leading block and its Schur complement until
 one pivot is left.
 
-A single matrix is factored and inverted in place, in one C-ordered copy
-of it, by LAPACK's zpotrf and zpotri: numpy's Cholesky would copy the
-matrix into Fortran order and back, and zpotri is about a quarter of the
-work of inverting the factor and multiplying it out. Both are called
-through ctypes from the OpenBLAS that numpy bundles, the library whose
-thread count ``one_blas_thread`` pins, so the package needs no LAPACK of
-its own; their ``_work`` variants skip LAPACKE's NaN scan of the matrix.
-A factor that zpotrf rejects, or whose pivots miss the floor, is handed
-back to numpy's Cholesky, which accepts it or names the refusal. A stack
-stays in numpy's batched calls: zpotri takes one matrix per Python call,
-and a sweep stage's stack can hold thousands of small zero blocks. A
-stack of 1 x 1 matrices, the last sweep stage's zero blocks, is inverted
-by a reciprocal when it would factor. An inverse that overflows the
-double range is refused with OverflowError.
+The arithmetic runs in one of two configurations: with LAPACKE's
+zpotrf_work and zpotri_work and CBLAS's ztrsm and zherk from the OpenBLAS
+that numpy bundles, the library whose thread count ``one_blas_thread``
+pins, or on numpy alone. ``_lapack`` returns the four calls, bound through
+ctypes all together or not at all, or None. The ``_work`` variants skip
+LAPACKE's NaN scan of the matrix.
 
-The sequential estimator's block recursion takes two helpers from here.
-``_solve_downdate`` solves with one order's factor by two in-place CBLAS
-ztrsm calls and updates the error's triangle by one zherk, from the same
-OpenBLAS, with no inverse of the factor; ``_cholesky_inverse`` inverts
-the last factor by zpotri, as ``invert_pd`` inverts a single matrix.
+``_factor_single``, the one factor of a single matrix, serves Capon's
+inverse and each order of the block recursion. zpotrf factors one
+C-ordered copy of the matrix in place, where numpy's Cholesky would copy
+it into Fortran order and back. A factor that zpotrf rejects or whose
+pivots miss the floor, and every factor on numpy alone, is numpy's, which
+accepts the matrix or names the refusal. A zpotrf factor's strict upper
+triangle is unspecified and goes only to zpotri and ztrsm; numpy's factor
+is zero there, as numpy's solves and ``_invert_lower`` need. zpotri
+inverts a single factor in place, about a quarter of the work of
+inverting the factor and multiplying it out. ``_solve_downdate`` solves
+with each recursion factor by two ztrsm calls and updates the error by
+one zherk, or by numpy's solves, with no inverse of the factor. A stack
+stays in numpy's batched calls: zpotri takes one matrix per Python call,
+and a sweep stage's stack can hold thousands of small zero blocks.
 ``_invert_lower``, the package's one triangular inverse, serves the
-stacked inverse and, where numpy uses another BLAS, a single matrix and
-both helpers, which then multiply the inverse out in GEMMs.
-np.linalg.inv of the whole factor, on one thread, measured 1.2 times
-its time on 64 factors of 33 rows and 1.8 to 3.1 times on 32 to 1
-factors of 48 to 100 rows.
+stacked inverse and, on numpy alone, the single one, which multiply it
+out in GEMMs; np.linalg.inv of the whole factor, on one thread, measured
+1.2 times its time on 64 factors of 33 rows and 1.8 to 3.1 times on 32
+to 1 factors of 48 to 100 rows. A stack of 1 x 1 matrices, the last sweep
+stage's zero blocks, is inverted by a reciprocal when it would factor. An
+inverse that overflows the double range is refused with OverflowError.
 """
 
 from __future__ import annotations
@@ -75,8 +77,8 @@ class _OpenBlas(NamedTuple):
     """The calls of numpy's bundled OpenBLAS that the package uses: the
     (get, set) pair of its thread count, its LAPACKE zpotrf_work and
     zpotri_work, which take (matrix layout, uplo, n, a, lda) and return
-    info, and its CBLAS ztrsm and zherk; each call is None where the
-    library lacks it."""
+    info, and its CBLAS ztrsm and zherk; the last four are all None where
+    the library lacks one of them."""
 
     threads: tuple
     zpotrf: object
@@ -87,10 +89,11 @@ class _OpenBlas(NamedTuple):
 
 @functools.cache
 def _openblas() -> _OpenBlas | None:
-    """numpy's bundled OpenBLAS, or None when numpy uses another BLAS. The
-    symbols carry a ``64_`` suffix in a build with 64-bit integers and none
-    in one with 32-bit integers; the integer arguments of the LAPACKE and
-    CBLAS calls follow its suffix, and CBLAS's enumerations are C ints."""
+    """numpy's bundled OpenBLAS, or None when numpy uses another BLAS. Its
+    four calls are bound all together or not at all. The symbols carry a
+    ``64_`` suffix in a build with 64-bit integers and none in one with
+    32-bit integers; the integer arguments of the LAPACKE and CBLAS calls
+    follow its suffix, and CBLAS's enumerations are C ints."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in libs.glob("*openblas*"):
         lib = ctypes.CDLL(str(path))
@@ -115,12 +118,11 @@ def _openblas() -> _OpenBlas | None:
                     "cblas_zherk": ((enum,) * 3 + (integer, integer, real, address, integer,
                                                    real, address, integer), None),
                 }
-                calls = []
-                for name, (argtypes, restype) in signatures.items():
-                    call = getattr(lib, f"{prefix}{name}{suffix}", None)
-                    if call is not None:
-                        call.argtypes, call.restype = argtypes, restype
-                    calls.append(call)
+                calls = [getattr(lib, f"{prefix}{name}{suffix}", None) for name in signatures]
+                if any(call is None for call in calls):
+                    return _OpenBlas((get, put), None, None, None, None)
+                for call, (argtypes, restype) in zip(calls, signatures.values()):
+                    call.argtypes, call.restype = argtypes, restype
                 return _OpenBlas((get, put), *calls)
     return None
 
@@ -130,24 +132,11 @@ def _blas_threads():
     return getattr(_openblas(), "threads", None)
 
 
-def _zpotrf():
-    """LAPACKE_zpotrf_work of numpy's bundled OpenBLAS, or None."""
-    return getattr(_openblas(), "zpotrf", None)
-
-
-def _zpotri():
-    """LAPACKE_zpotri_work of numpy's bundled OpenBLAS, or None."""
-    return getattr(_openblas(), "zpotri", None)
-
-
-def _ztrsm():
-    """cblas_ztrsm of numpy's bundled OpenBLAS, or None."""
-    return getattr(_openblas(), "ztrsm", None)
-
-
-def _zherk():
-    """cblas_zherk of numpy's bundled OpenBLAS, or None."""
-    return getattr(_openblas(), "zherk", None)
+def _lapack() -> _OpenBlas | None:
+    """numpy's bundled OpenBLAS when it has the four calls, else None; each
+    helper reads it once, so its calls come from one configuration."""
+    blas = _openblas()
+    return blas if blas is not None and blas.zpotrf is not None else None
 
 
 class _OneBlasThread(ContextDecorator):
@@ -256,18 +245,17 @@ def invert_pd(h) -> np.ndarray:
     exactly Hermitian with a real diagonal.
 
     The factor is ``cholesky``'s, with its pivot floor and refusals, which
-    numpy names. A single matrix (``ndim == 2``) is factored by LAPACK's
-    zpotrf and inverted by its zpotri, both from numpy's bundled OpenBLAS,
-    in place in one copy of the input, on the one thread that
+    numpy names. A single matrix (``ndim == 2``) is factored by
+    ``_factor_single`` and, with numpy's OpenBLAS calls, inverted in place
+    by LAPACK's zpotri, in one copy of the input, on the one thread that
     ``one_blas_thread`` pins; a nonzero ``info`` from zpotri raises
-    LinAlgError. A stack, and a single matrix where numpy bundles no
-    OpenBLAS with zpotri, takes the batched triangular inverse of L by
-    ``_invert_lower`` and the product L^{-H} L^{-1}, which beats a Python
-    call per matrix on the sweep's many small zero blocks. A stack of
-    1 x 1 matrices whose real parts are all finite and large enough for
-    their reciprocals to stay finite is inverted by the reciprocal of its
-    real part; any other takes the factorization, so it is refused as
-    before.
+    LinAlgError. A stack, and a single matrix without those calls, takes
+    the batched triangular inverse of L by ``_invert_lower`` and the
+    product L^{-H} L^{-1}, which beats a Python call per matrix on the
+    sweep's many small zero blocks. A stack of 1 x 1 matrices whose real
+    parts are all finite and large enough for their reciprocals to stay
+    finite is inverted by the reciprocal of its real part; any other takes
+    the factorization, so it is refused as before.
 
     A matrix whose inverse overflows, one with an eigenvalue below about
     1e-308, raises OverflowError naming the first such matrix in C order.
@@ -278,30 +266,34 @@ def invert_pd(h) -> np.ndarray:
         if np.all((re >= _RECIPROCAL_MIN) & (re < np.inf)):
             return (1.0 / re).astype(complex)
     with one_blas_thread:
-        single = a.ndim == 2 and a.size and _zpotri() is not None
-        return _finite(_cholesky_inverse(_factor_single(a) if single else cholesky(a)))
+        # cholesky refuses a non-square matrix before any pointer is passed
+        if a.ndim == 2 and a.size and a.shape[0] == a.shape[1]:
+            lower = _factor_single(a, PD_PIVOT_REL * np.max(a.diagonal().real))
+        else:
+            lower = cholesky(a)
+        return _finite(_cholesky_inverse(lower))
 
 
 def _cholesky_inverse(lower: np.ndarray) -> np.ndarray:
     """(L L^H)^{-1}, exactly Hermitian with a real diagonal, for a stack of
     nonsingular lower triangular L.
 
-    A single nonempty C-ordered factor, whose strict upper triangle may
-    hold anything, is inverted in place by zpotri where numpy bundles
-    OpenBLAS with it; a nonzero ``info`` raises LinAlgError. C-ordered L is
-    column-major L^T, an upper factor of conj(L L^H): zpotri leaves the
-    upper triangle of its inverse there, which is the lower triangle of
-    (L L^H)^{-1} in C order, and ``_mirror_lower`` fills the rest. A stack,
-    or a single factor elsewhere, must be zero above its diagonal: it takes
-    the batched triangular inverse of L by ``_invert_lower`` and the
-    product L^{-H} L^{-1}, halved before it is symmetrized in place so that
-    an inverse within the double range stays within it. Neither path warns
+    With numpy's OpenBLAS calls, a single nonempty factor from
+    ``_factor_single`` is inverted in place by zpotri; a nonzero ``info``
+    raises LinAlgError. C-ordered L is column-major L^T, an upper factor of
+    conj(L L^H): zpotri leaves the upper triangle of its inverse there,
+    which is the lower triangle of (L L^H)^{-1} in C order, and
+    ``_mirror_lower`` fills the rest. A stack, or a single factor without
+    those calls, must be zero above its diagonal: it takes the batched
+    triangular inverse of L by ``_invert_lower`` and the product
+    L^{-H} L^{-1}, halved before it is symmetrized in place so that an
+    inverse within the double range stays within it. Neither path warns
     on overflow, which the caller checks.
     """
-    zpotri = _zpotri() if lower.ndim == 2 and lower.size and lower.flags.c_contiguous else None
-    if zpotri is not None:
+    lapack = _lapack()
+    if lapack is not None and lower.ndim == 2 and lower.size:
         n = lower.shape[0]
-        info = zpotri(_COLUMN_MAJOR, b"U", n, lower.ctypes.data, n)
+        info = lapack.zpotri(_COLUMN_MAJOR, b"U", n, _address(lower), n)
         if info:
             raise np.linalg.LinAlgError(f"zpotri failed with info {info}")
         return _mirror_lower(lower)
@@ -317,65 +309,64 @@ def _cholesky_inverse(lower: np.ndarray) -> np.ndarray:
 
 
 def _solve_downdate(lower: np.ndarray, b: np.ndarray, p: np.ndarray) -> None:
-    """With Q = L L^H and ``lower`` its C-ordered lower factor, overwrite the
-    C-ordered (m, k) ``b`` with Q^{-1} b and subtract W^H W, W = L^{-1} b,
-    from the C-ordered (k, k) ``p``, all in place and with no inverse of L.
+    """With Q = L L^H and ``lower`` its factor from ``_factor_single``,
+    overwrite the C-ordered (m, k) ``b`` with Q^{-1} b and subtract W^H W,
+    W = L^{-1} b, from the C-ordered (k, k) ``p``, in place.
 
-    Where numpy bundles OpenBLAS with CBLAS, a triangular solve (ztrsm)
-    takes b to W in place, a Hermitian rank-m update (zherk) subtracts
-    W^H W from the upper triangle of ``p`` in C order, and leaves its
-    strict lower triangle as it was, and a second solve takes W to
-    L^{-H} W: about half the products of the GEMMs below. Elsewhere L is
-    inverted by ``_invert_lower``, and W, the update of all of ``p`` and
-    L^{-H} W are GEMMs.
+    With numpy's OpenBLAS calls, a triangular solve (ztrsm) takes b to W
+    in place, a Hermitian rank-m update (zherk) subtracts W^H W from the
+    upper triangle of ``p`` in C order, leaving its strict lower triangle
+    as it was, and a second solve takes W to L^{-H} W. Without them, numpy
+    solves for W and L^{-H} W and updates all of ``p``. Neither forms
+    L^{-1}, which loses the small pivots of a near-singular matrix and
+    refuses some that the dense Cholesky accepts.
     """
-    ztrsm, zherk = _ztrsm(), _zherk()
-    m, k = b.shape
-    if ztrsm is None or zherk is None:
-        linv = _invert_lower(lower)
-        w = linv @ b
+    lapack = _lapack()
+    if lapack is None:
+        w = np.linalg.solve(lower, b)
         p -= w.conj().T @ w
-        np.matmul(linv.conj().T, w, out=b)
+        b[...] = np.linalg.solve(lower.conj().T, w)
         return
+    m, k = b.shape
     if lower.shape != (m, m) or p.shape != (k, k) or not (
             lower.dtype == b.dtype == p.dtype == np.complex128):
         raise ValueError(f"cannot solve with a {lower.shape} {lower.dtype} factor for a "
                          f"{b.shape} {b.dtype} block and a {p.shape} {p.dtype} error")
     at, b_at = _address(lower), _address(b)
-    ztrsm(_ROW_MAJOR, _LEFT, _LOWER, _NO_TRANS, _NON_UNIT, m, k, _ONE, at, m, b_at, k)
-    zherk(_ROW_MAJOR, _UPPER, _CONJ_TRANS, k, m, -1.0, b_at, k, 1.0, _address(p), k)
-    ztrsm(_ROW_MAJOR, _LEFT, _LOWER, _CONJ_TRANS, _NON_UNIT, m, k, _ONE, at, m, b_at, k)
+    lapack.ztrsm(_ROW_MAJOR, _LEFT, _LOWER, _NO_TRANS, _NON_UNIT, m, k, _ONE, at, m, b_at, k)
+    lapack.zherk(_ROW_MAJOR, _UPPER, _CONJ_TRANS, k, m, -1.0, b_at, k, 1.0, _address(p), k)
+    lapack.ztrsm(_ROW_MAJOR, _LEFT, _LOWER, _CONJ_TRANS, _NON_UNIT, m, k, _ONE, at, m, b_at, k)
 
 
 def _address(a: np.ndarray) -> int:
     """The address of the writable C-contiguous array ``a``, which must
     outlive its use; any other array raises. It takes a third of the time
-    of ``a.ctypes.data``, which the recursion would pay three times an
-    order."""
+    of ``a.ctypes.data``, which the recursion would pay four times an
+    order. Every pointer that the package passes comes from here."""
     return ctypes.addressof(ctypes.c_char.from_buffer(a))
 
 
-def _factor_single(a: np.ndarray) -> np.ndarray:
-    """``cholesky(a)`` of one nonempty matrix, C-ordered, in the lower
-    triangle of an array whose strict upper triangle is unspecified.
+def _factor_single(a: np.ndarray, floor) -> np.ndarray:
+    """The lower Cholesky factor of one nonempty square complex matrix,
+    whose pivots diag(L)^2 pass the absolute ``floor``, C-ordered in an
+    array whose strict upper triangle is unspecified.
 
     zpotrf factors one C-ordered copy of ``a`` in place: read column-major,
     the copy is a^T = conj(a), and the upper factor U of conj(a) that it
-    leaves there reads back in C order as U^T, the lower factor of ``a``.
-    The _work call skips LAPACKE's scan of the input for NaN, which the
-    pivot floor refuses anyway. When zpotrf rejects a pivot, or a pivot
-    misses the floor, numpy's ``cholesky`` decides: it accepts the matrix
-    or names the refusal as it does for every caller.
+    leaves there reads back in C order as U^T, the lower factor of ``a``;
+    the pivot check refuses a NaN, which the _work call does not scan for.
+    When zpotrf rejects a pivot, a pivot misses the floor, or numpy's
+    OpenBLAS lacks the calls, ``_cholesky`` decides: numpy's factor, zero
+    above its diagonal, or the refusal that it names for every caller.
     """
-    zpotrf, n = _zpotrf(), a.shape[-1]
-    if zpotrf is not None and a.shape == (n, n):
+    lapack, n = _lapack(), a.shape[0]
+    if lapack is not None:
         lower = a.copy()
-        floor = PD_PIVOT_REL * np.max(a.diagonal().real, initial=0.0)
-        if (zpotrf(_COLUMN_MAJOR, b"U", n, lower.ctypes.data, n) == 0
+        if (lapack.zpotrf(_COLUMN_MAJOR, b"U", n, _address(lower), n) == 0
                 and np.all(lower.diagonal().real ** 2 > floor)):
             return lower
         del lower
-    return np.ascontiguousarray(cholesky(a))
+    return np.ascontiguousarray(_cholesky(a, floor))
 
 
 def _finite(inv: np.ndarray) -> np.ndarray:

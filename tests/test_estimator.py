@@ -488,10 +488,10 @@ class TestFirstBlockColumn:
 
 
 class TestWithoutOpenBlas:
-    """Where numpy bundles no OpenBLAS, the recursion inverts each factor by
-    ``_invert_lower`` and multiplies it out, and takes P^{-1} from the
-    stacked inverse: the same predictor, the same P^{-1} and the same
-    refusals as the triangular solves and zpotri."""
+    """Where numpy bundles no OpenBLAS, the recursion factors each order by
+    numpy's Cholesky, solves with it by numpy's solves and takes P^{-1}
+    from the triangular inverse: the same predictor, the same P^{-1} and
+    the same refusals as zpotrf, the triangular solves and zpotri."""
 
     @staticmethod
     def both(c, monkeypatch, run=lambda call: call()):
@@ -567,8 +567,8 @@ class TestInvertLower:
     @pytest.mark.parametrize("gamma", [(6, 6, 4), (8, 8, 3), (10, 10, 2)])
     def test_recursion_on_near_singular_lines_with_blocks_over_a_leaf(self, gamma, monkeypatch):
         # h = 36, 64 and 100 rows, condition numbers 8e6 to 5e11: the
-        # triangular solves, and where numpy bundles no OpenBLAS every
-        # order's factor inverted by the block recursion
+        # triangular solves, and where numpy bundles no OpenBLAS numpy's
+        # solves and the last factor inverted by the block recursion
         h = int(np.prod(gamma[:-1]))
         assert h > linalg._TRIANGULAR_LEAF
         for n_lines, noise in ((h // 2, 1e-8), (2 * h, 1e-9)):
@@ -997,24 +997,26 @@ def _near_singular():
     return module
 
 
-def test_near_singular_input_accepted_by_both_paths():
+def test_near_singular_input_accepted_by_both_paths(monkeypatch):
     # band 1 input 359: a 40-digit elimination of R puts pivot 26 at
-    # 2.13e-11, three times its floor 7.0e-12. The triangular solves
-    # accept it, as the dense Cholesky does; an explicit inverse of each
-    # factor in W = L^{-1} Delta, the path where numpy bundles no OpenBLAS,
-    # refuses it there with -1.09e-11. The dense sweep, which inverts its
+    # 2.13e-11, three times its floor 7.0e-12. The recursion's triangular
+    # solves accept it, as the dense Cholesky does, on numpy's OpenBLAS and
+    # without it; an explicit inverse of each factor in W = L^{-1} Delta
+    # refused it there with -1.09e-11. The dense sweep, which inverts its
     # stage-1 zero block in double, is not the reference on such an input,
     # so the spectra are pinned only to their measured 0.068 apart, within
     # a margin of 1.5x.
-    if linalg._ztrsm() is None or linalg._zherk() is None:
-        pytest.skip("numpy's OpenBLAS has no ztrsm and zherk here")
     corpus = _near_singular()
     gamma, c = corpus.corpus_input(ndspec, 1, 359)
     grid = SpectralGridSpec((corpus.GRID_COUNT,) * len(gamma))
     assert gamma == (3, 3, 3)
-    dense, sequential = dense_sweep(c, grid), sequential_spectrum(c, grid).power
-    assert np.all(np.isfinite(sequential)) and np.all(sequential > 0)
-    assert corpus.regular_difference(dense, sequential) <= 0.1
+    dense = dense_sweep(c, grid)
+    for lookup in (linalg._openblas, lambda: None):
+        with monkeypatch.context() as patched:
+            patched.setattr(linalg, "_openblas", lookup)
+            sequential = sequential_spectrum(c, grid).power
+        assert np.all(np.isfinite(sequential)) and np.all(sequential > 0)
+        assert corpus.regular_difference(dense, sequential) <= 0.1
 
 
 def test_near_singular_corpus_is_refused_where_the_dense_sweep_refuses():
@@ -1032,3 +1034,10 @@ def test_near_singular_corpus_is_refused_where_the_dense_sweep_refuses():
         else:
             assert corpus.regular_difference(dense, sequential) <= 1e-2, label
     assert (len(rows), refused) == (48, 19)
+
+
+def test_near_singular_corpus_is_refused_alike_without_openblas(monkeypatch):
+    # where numpy bundles no OpenBLAS the recursion factors and solves by
+    # numpy, and the same 19 inputs are refused at the same pivots
+    monkeypatch.setattr(linalg, "_openblas", lambda: None)
+    test_near_singular_corpus_is_refused_where_the_dense_sweep_refuses()

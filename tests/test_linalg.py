@@ -1,6 +1,7 @@
 import ctypes
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -225,8 +226,16 @@ class TestInvertPd:
 def _without_zpotri(monkeypatch, h):
     """``invert_pd(h)`` as where numpy bundles no OpenBLAS with zpotri."""
     with monkeypatch.context() as patched:
-        patched.setattr(linalg, "_zpotri", lambda: None)
+        patched.setattr(linalg, "_openblas", lambda: None)
         return invert_pd(h)
+
+
+def _lapack():
+    """The four calls of numpy's bundled OpenBLAS; skips the test where it
+    has none."""
+    if linalg._lapack() is None:
+        pytest.skip("numpy bundles no OpenBLAS with LAPACKE and CBLAS here")
+    return linalg._lapack()
 
 
 def _ldl(n, k, pivot):
@@ -288,9 +297,9 @@ class TestInverseOverflow:
 
 
 class TestWithoutZpotri:
-    """Where numpy bundles no OpenBLAS with zpotri, a single matrix takes
-    the stacked path: the same inverse, exactly Hermitian, and the same
-    refusals."""
+    """Where numpy bundles no OpenBLAS with zpotri, a single matrix is
+    factored by numpy and inverted by the triangular inverse: the same
+    inverse, exactly Hermitian, and the same refusals."""
 
     def test_matches_the_lapack_path(self, monkeypatch):
         rng = np.random.default_rng(21)
@@ -312,40 +321,11 @@ class TestWithoutZpotri:
             _without_zpotri(monkeypatch, TestInverseOverflow.TINY)
         assert str(info.value) == "the inverse overflows the double range"
 
-    @pytest.mark.parametrize("missing", [("zpotrf",), ("zpotrf", "zpotri")])
-    def test_a_lookup_without_zpotrf_inverts_and_refuses_alike(self, monkeypatch, missing):
-        # without zpotrf numpy factors and zpotri inverts; a lookup with
-        # neither call takes the stacked path
-        real = linalg._openblas()
-        if real is None:
-            pytest.skip("numpy does not bundle OpenBLAS here")
-        rng = np.random.default_rng(24)
-        cases = [random_pd_matrix(rng, n) for n in (1, 2, 33, 150)]
-        refused = [np.diag([1.0, 1e-13, 1.0]), _ldl(70, 35, 1e-14), _ldl(33, 0, -0.5)]
-        expected = [invert_pd(h) for h in cases]
-        refusals = []
-        for h in refused:
-            with pytest.raises(NotPositiveDefinite) as info:
-                invert_pd(h)
-            refusals.append((info.value.pivot_index, info.value.pivot_value, info.value.index))
-        with monkeypatch.context() as patched:
-            patched.setattr(linalg, "_openblas",
-                            lambda: real._replace(**dict.fromkeys(missing)))
-            assert all(getattr(linalg, f"_{name}")() is None for name in missing)
-            for h, lapack in zip(cases, expected):
-                out = invert_pd(h)
-                assert np.max(np.abs(out - lapack)) <= 1e-12 * np.max(np.abs(lapack))
-                assert np.array_equal(out, out.conj().T)
-            for h, refusal in zip(refused, refusals):
-                with pytest.raises(NotPositiveDefinite) as info:
-                    invert_pd(h)
-                assert (info.value.pivot_index, info.value.pivot_value,
-                        info.value.index) == refusal
-
 
 def test_a_zpotrf_refusal_is_decided_by_numpy(monkeypatch):
     # a factor that zpotrf rejects, or whose pivot misses the floor, goes to
     # numpy's cholesky, which here accepts the matrix: the inverse is unchanged
+    real = _lapack()
     h = random_pd_matrix(np.random.default_rng(25), 40)
     expected = invert_pd(h)
     for info in (0, 3):
@@ -353,7 +333,7 @@ def test_a_zpotrf_refusal_is_decided_by_numpy(monkeypatch):
             np.ctypeslib.as_array(ctypes.cast(data, ctypes.POINTER(ctypes.c_double)),
                                   (2 * n * n,))[:] = 0.0
             return info
-        monkeypatch.setattr(linalg, "_zpotrf", lambda: zpotrf)
+        monkeypatch.setattr(linalg, "_openblas", lambda blas=real._replace(zpotrf=zpotrf): blas)
         np.testing.assert_allclose(invert_pd(h), expected, rtol=1e-12, atol=1e-14)
 
 
@@ -361,7 +341,7 @@ def test_the_zpotrf_factor_is_numpys():
     rng = np.random.default_rng(26)
     for n in (1, 5, 64, 129):
         h = random_pd_matrix(rng, n)
-        lower = np.tril(linalg._factor_single(h))
+        lower = np.tril(linalg._factor_single(h, linalg.PD_PIVOT_REL * h.diagonal().real.max()))
         factor = cholesky(h)
         assert lower.flags.c_contiguous
         assert np.max(np.abs(lower - factor)) <= 1e-13 * np.max(np.abs(factor))
@@ -375,9 +355,9 @@ class TestSolveDowndate:
     @pytest.mark.parametrize("m, k", [(1, 1), (3, 5), (40, 7)])
     @pytest.mark.parametrize("blas", [True, False], ids=["openblas", "without"])
     def test_matches_the_dense_arithmetic(self, m, k, blas, monkeypatch):
-        if blas and (linalg._ztrsm() is None or linalg._zherk() is None):
-            pytest.skip("numpy's OpenBLAS has no ztrsm and zherk here")
-        if not blas:
+        if blas:
+            _lapack()
+        else:
             monkeypatch.setattr(linalg, "_openblas", lambda: None)
         rng = np.random.default_rng((m, k))
         q, p = random_pd_matrix(rng, m), 10 * random_pd_matrix(rng, k)
@@ -394,8 +374,7 @@ class TestSolveDowndate:
             assert np.array_equal(out_p[~upper], p[~upper])
 
     def test_refuses_arrays_it_cannot_pass(self):
-        if linalg._ztrsm() is None or linalg._zherk() is None:
-            pytest.skip("numpy's OpenBLAS has no ztrsm and zherk here")
+        _lapack()
         lower, p = np.eye(2, dtype=complex), np.eye(2, dtype=complex)
         with pytest.raises(ValueError, match="float64 factor"):
             linalg._solve_downdate(lower.real.copy(), np.ones((2, 2), complex), p)
@@ -408,9 +387,7 @@ class TestSolveDowndate:
 def test_the_lapacke_calls_are_the_work_variants():
     # the _work calls skip LAPACKE's scan of the whole triangle for NaN
     # before each call; the CBLAS calls are bound beside them
-    blas = linalg._openblas()
-    if blas is None:
-        pytest.skip("numpy does not bundle OpenBLAS here")
+    blas = _lapack()
     names = {field: getattr(blas, field).__name__ for field in ("zpotrf", "zpotri", "ztrsm",
                                                                 "zherk")}
     suffix = "64_" if names["zpotri"].endswith("64_") else ""
@@ -419,9 +396,40 @@ def test_the_lapacke_calls_are_the_work_variants():
         "ztrsm": f"cblas_ztrsm{suffix}", "zherk": f"cblas_zherk{suffix}"}
 
 
+def test_the_four_calls_are_bound_all_together_or_not_at_all(monkeypatch):
+    # a library without cblas_zherk still gives the thread count that
+    # one_blas_thread pins, and none of the other calls: a zpotrf factor,
+    # whose strict upper triangle is unspecified, never meets numpy's solves
+    _lapack()
+
+    class Library:
+        """A library with every symbol that ``_openblas`` looks up but
+        cblas_zherk."""
+
+        def __init__(self, path):
+            self.path = path
+
+        def __getattr__(self, name):
+            if "cblas_zherk" in name:
+                raise AttributeError(name)
+            call = types.SimpleNamespace(__name__=name)
+            setattr(self, name, call)
+            return call
+
+    monkeypatch.setattr(ctypes, "CDLL", Library)
+    blas = linalg._openblas.__wrapped__()
+    get, put = blas.threads
+    assert get.__name__.endswith("openblas_get_num_threads64_")
+    assert (get.restype, put.argtypes) == (ctypes.c_int, (ctypes.c_int,))
+    assert blas[1:] == (None,) * 4
+    monkeypatch.setattr(linalg, "_openblas", lambda: blas)
+    assert linalg._blas_threads() == (get, put) and linalg._lapack() is None
+
+
 @pytest.mark.parametrize("info", [1, -4])
 def test_a_nonzero_zpotri_info_raises(monkeypatch, info):
-    monkeypatch.setattr(linalg, "_zpotri", lambda: lambda *args: info)
+    blas = _lapack()._replace(zpotri=lambda *args: info)
+    monkeypatch.setattr(linalg, "_openblas", lambda: blas)
     with pytest.raises(np.linalg.LinAlgError, match=f"info {info}"):
         invert_pd(random_pd_matrix(np.random.default_rng(23), 4))
 
@@ -433,13 +441,14 @@ from ndspec import invert_pd, linalg
 
 get, put = linalg._blas_threads()
 put(2)
-real, seen = linalg._zpotri(), []
+real, seen = linalg._openblas(), []
 
 def zpotri(*args):
     seen.append(get())
-    return real(*args)
+    return real.zpotri(*args)
 
-linalg._zpotri = lambda: zpotri
+blas = real._replace(zpotri=zpotri)
+linalg._openblas = lambda: blas
 h = np.array([[2.0, 1.0], [1.0, 2.0]])
 np.testing.assert_allclose(invert_pd(h), np.linalg.inv(h), rtol=1e-14)
 print(json.dumps([seen, get(), "scipy.linalg" in sys.modules]))
@@ -544,42 +553,33 @@ class TestOneBlasThread:
         assert linalg._blas_threads() is not None
         return linalg._blas_threads()[0]
 
-    @staticmethod
-    def zpotri():
-        """numpy's OpenBLAS zpotri; skips the test when it has none."""
-        if linalg._zpotri() is None:
-            pytest.skip("numpy bundles no OpenBLAS with LAPACKE_zpotri here")
-        return linalg._zpotri()
-
     def test_first_inverse_of_a_process_calls_zpotri_once_on_one_thread(self):
         # the process's first inverse runs zpotri once, inside the pin, on
         # one thread; a caller's count of 2 is restored, and scipy is never
         # loaded
         self.openblas_get()
-        self.zpotri()
+        _lapack()
         assert run_fresh(_FIRST_INVERSE) == [[1], 2, False]
 
     @staticmethod
     def spy(monkeypatch, names, get):
-        """Route each named call of numpy's OpenBLAS (``linalg._<name>``)
-        through a spy; returns the list it fills with (name, thread count)
-        per call. Skips the test when the library lacks one of them."""
-        seen = []
+        """Route each named call of numpy's OpenBLAS through a spy, in one
+        patched record of the library; returns the list it fills with
+        (name, thread count) per call. Skips the test when the library
+        lacks the calls."""
+        real, seen = _lapack(), []
 
-        def spy(name):
-            real = getattr(linalg, f"_{name}")()
-            if real is None:
-                pytest.skip(f"numpy's OpenBLAS has no {name} here")
-            return lambda *args: seen.append((name, get())) or real(*args)
+        def spy(call, name):
+            return lambda *args: seen.append((name, get())) or call(*args)
 
-        for name in names:
-            monkeypatch.setattr(linalg, f"_{name}", lambda call=spy(name): call)
+        blas = real._replace(**{name: spy(getattr(real, name), name) for name in names})
+        monkeypatch.setattr(linalg, "_openblas", lambda: blas)
         return seen
 
     def test_sweep_runs_on_one_thread(self, monkeypatch):
         get = self.openblas_get()
         before = get()
-        seen = self.spy(monkeypatch, ("ztrsm", "zherk", "zpotri"), get)
+        seen = self.spy(monkeypatch, ("zpotrf", "ztrsm", "zherk", "zpotri"), get)
 
         class CountedBlocks(np.ndarray):
             """Stage blocks whose products record the thread count."""
@@ -591,25 +591,23 @@ class TestOneBlasThread:
                          for x in inputs]
                 return getattr(ufunc, method)(*plain, **kwargs)
 
-        factor, stage_field = np.linalg.cholesky, estimator.StageField
-        monkeypatch.setattr(np.linalg, "cholesky",
-                            lambda a: seen.append(("factor", get())) or factor(a))
+        stage_field = estimator.StageField
         monkeypatch.setattr(estimator, "StageField", lambda spec, stage, blocks, *weight: (
             stage_field(spec, stage, blocks.view(CountedBlocks), *weight)))
         rng = np.random.default_rng(16)
         sequential_spectrum(random_correlation(rng, (2, 3)), SpectralGridSpec((4, 5)))
         # per recursion order that extends the predictor (gamma_1 = 3, h = 2):
-        # one factorization of Q, a triangular solve, the Hermitian update of
-        # P and a second solve; the last order's factor, then one zpotri for
+        # one zpotrf of Q, a triangular solve, the Hermitian update of P and
+        # a second solve; the last order's zpotrf, then one zpotri for
         # P^{-1}. Stage 1 sweeps the predictor with the known P^{-1} and
         # factors nothing, and stage 2's 1 x 1 blocks take a reciprocal; then
         # one Fourier-sum GEMM per chunk of each swept axis: stage 1's 5
         # frequencies in chunks of 2 (128 B of temporaries each, beside 80 B
         # of roots, within the recursion's 384 B), the last stage's 4 in
         # chunks of ceil(4 / 8) = 1
-        order = ["factor", "ztrsm", "zherk", "ztrsm"]
+        order = ["zpotrf", "ztrsm", "zherk", "ztrsm"]
         assert [name for name, _ in seen] == (
-            order * 2 + ["factor", "zpotri"] + ["fourier sum"] * (3 + 4))
+            order * 2 + ["zpotrf", "zpotri"] + ["fourier sum"] * (3 + 4))
         assert {count for _, count in seen} == {1}
         assert get() == before
 
