@@ -16,7 +16,6 @@ from .correlation import (
     assemble,
     estimate_correlation,
     load_ndcorr,
-    ndcorr_lines,
     save_ndcorr,
     synth_correlation,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "invert_pd",
     "levinson_1d",
     "load_ndcorr",
-    "ndcorr_lines",
     "save_ndcorr",
     "sequential_spectrum",
     "synth_correlation",

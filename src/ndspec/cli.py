@@ -22,7 +22,7 @@ from .correlation import (
     SpectralComposition,
     assemble,
     load_ndcorr,
-    ndcorr_lines,
+    save_ndcorr,
     synth_correlation,
 )
 from .errors import (
@@ -35,7 +35,8 @@ from .estimator import _unit_scale, sequential_spectrum
 from .grid import SpectralGridSpec, SpectrumEstimate
 from .indexing import DimSpec
 from .linalg import invert_pd
-from .textio import _csv_rows, _lag_prefixes, _parse_rows, _prefixes, _read_table, _write_lines
+from .textio import (_csv_rows, _lag_prefixes, _parse_rows, _prefixes, _read_table, _scatter,
+                     _write_lines)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -57,18 +58,6 @@ def _int_list(text: str) -> tuple[int, ...]:
     return values
 
 
-def _peak(text: str) -> tuple[tuple[float, ...], float]:
-    head, sep, tail = text.rpartition(":")
-    if not sep:
-        raise argparse.ArgumentTypeError(f"expected f0,f1,...:power, got {text!r}")
-    try:
-        freqs = tuple(float(tok) for tok in head.split(","))
-        power = float(tail)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected f0,f1,...:power, got {text!r}")
-    return freqs, power
-
-
 def _fields(form: str, sep: str, *types):
     """argparse type of ``len(types)`` fields joined by ``sep``, each
     converted by its type; ``form`` names them in the complaint."""
@@ -83,6 +72,11 @@ def _fields(form: str, sep: str, *types):
     return parse
 
 
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.split(","))
+
+
+_peak = _fields("f0,f1,...:power", ":", _floats, float)
 _plane = _fields("axis:f:power", ":", int, float, float)
 _fix = _fields("axis=index", "=", int, int)
 _sweep_fields = _fields("cmin:cmax:step", ":", int, int, int)
@@ -122,19 +116,12 @@ def _load_spectrum_csv(path) -> SpectrumEstimate:
     expected = math.prod(counts)
     if len(table) != expected:
         raise FileFormatError(f"{path}: expected {expected} rows, found {len(table)}")
-    cells = np.ravel_multi_index(
-        tuple(np.rint(table[:, axis] * c).astype(np.intp) for axis, c in enumerate(counts)),
-        counts,
-    )
-    listed = np.bincount(cells, minlength=expected)
-    if listed.max() > 1:
-        cell = np.unravel_index(int(np.argmax(listed)), counts)
-        freqs = ", ".join(repr(int(m) / c) for m, c in zip(cell, counts))
-        raise FileFormatError(f"{path}: the cell at ({freqs}) is listed {listed.max()} times")
-    power = np.empty(expected)
-    power[cells] = table[:, d]
+    power = _scatter(
+        path, (np.rint(table[:, axis] * c).astype(np.intp) for axis, c in enumerate(counts)),
+        counts, table[:, d], lambda cell, times: "the cell at ({}) is listed {} times".format(
+            ", ".join(repr(m / c) for m, c in zip(cell, counts)), times))
     try:
-        return SpectrumEstimate(SpectralGridSpec(counts), power.reshape(counts))
+        return SpectrumEstimate(SpectralGridSpec(counts), power)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
@@ -163,7 +150,7 @@ def cmd_gen(args) -> int:
             signal = synth_correlation(comp, args.gamma, symmetrize=args.symmetrize)
     except (ValueError, DimensionMismatch) as exc:
         raise UsageError(str(exc)) from exc
-    _write_lines(args.out, ndcorr_lines(signal))
+    save_ndcorr(signal, args.out)
     return EXIT_OK
 
 

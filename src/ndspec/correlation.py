@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, FileFormatError, InsufficientData
 from .indexing import DimSpec, Nesting, digits
-from .textio import _csv_rows, _lag_prefixes, _parse_rows, _read_table, _write_lines
+from .textio import _csv_rows, _lag_prefixes, _parse_rows, _read_table, _scatter, _write_lines
 
 # Loader / constructor tolerance for Hermitian symmetry, relative to the
 # largest lag magnitude.
@@ -297,7 +297,7 @@ def assemble(c: CorrelationSignal, nesting: Nesting | None = None) -> BlockToepl
     return BlockToeplitzMatrix(spec, nesting, entries)
 
 
-def ndcorr_lines(c: CorrelationSignal) -> list[str]:
+def _ndcorr_lines(c: CorrelationSignal) -> list[str]:
     """Text lines of the ``ndcorr 1`` format.
 
     Line 1 is the magic, line 2 the orders, then one line per lag tuple
@@ -311,8 +311,8 @@ def ndcorr_lines(c: CorrelationSignal) -> list[str]:
 
 
 def save_ndcorr(c: CorrelationSignal, path) -> None:
-    """Write the ``ndcorr 1`` text format to a file."""
-    _write_lines(path, ndcorr_lines(c))
+    """Write the ``ndcorr 1`` text format to a file, or to stdout if ``path`` is None."""
+    _write_lines(path, _ndcorr_lines(c))
 
 
 def load_ndcorr(path) -> CorrelationSignal:
@@ -346,13 +346,9 @@ def load_ndcorr(path) -> CorrelationSignal:
     if outside.any():
         t = tuple(lags[np.argmax(outside)].tolist())
         raise FileFormatError(f"{path}: lag {t} outside the box for orders {gamma}")
-    cells = np.ravel_multi_index(tuple((lags + reach).T), shape)
-    listed = np.bincount(cells, minlength=expected_rows)
-    if listed.max() > 1:
-        t = tuple(lags[np.argmax(listed[cells] > 1)].tolist())
-        raise FileFormatError(f"{path}: duplicate lag {t}")
-    values = np.empty(expected_rows, dtype=complex)
-    values.real[cells], values.imag[cells] = table["value"].T
+    # each (re, im) pair, scattered as two doubles, reads back as one complex
+    values = _scatter(path, (lags + reach).T, shape, table["value"], lambda cell, times: (
+        f"duplicate lag {tuple(m + 1 - g for m, g in zip(cell, gamma))}")).view(complex)
     try:
         return CorrelationSignal(gamma, values.reshape(shape))
     except ValueError as exc:

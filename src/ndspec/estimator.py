@@ -313,7 +313,7 @@ def _forward_predictor(c: CorrelationSignal) -> tuple[np.ndarray, np.ndarray]:
     """
     t = _toeplitz_blocks(c)
     g, h = t.shape[0], t.shape[-1]
-    floor = np.float64(PD_PIVOT_REL * c.zero_lag)
+    floor = PD_PIVOT_REL * c.zero_lag
     p = t[0].copy()
     # block j of ``row`` is -T(g - 1 - j), j < g - 1, so -[T(n + 1) ... T(1)]
     # is one slice, which runs to its end (T(0) is only P's start); Delta

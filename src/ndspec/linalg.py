@@ -220,13 +220,8 @@ def cholesky(h) -> np.ndarray:
     a = np.asarray(h, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise SizeMismatch(f"expected square matrices, got shape {a.shape}")
-    return _cholesky(a, PD_PIVOT_REL * np.max(np.diagonal(a, axis1=-2, axis2=-1).real,
-                                              axis=-1, initial=0.0))
-
-
-def _cholesky(a: np.ndarray, floors) -> np.ndarray:
-    """``cholesky`` of a complex stack with given absolute pivot floors,
-    an array with one floor per matrix."""
+    floors = PD_PIVOT_REL * np.max(np.diagonal(a, axis1=-2, axis2=-1).real, axis=-1,
+                                   initial=0.0)
     try:
         lower = np.linalg.cholesky(a)
         pivots = np.diagonal(lower, axis1=-2, axis2=-1).real ** 2
@@ -268,7 +263,7 @@ def invert_pd(h) -> np.ndarray:
     with one_blas_thread:
         # cholesky refuses a non-square matrix before any pointer is passed
         if a.ndim == 2 and a.size and a.shape[0] == a.shape[1]:
-            lower = _factor_single(a, PD_PIVOT_REL * np.max(a.diagonal().real))
+            lower = _factor_single(a, PD_PIVOT_REL * float(np.max(a.diagonal().real)))
         else:
             lower = cholesky(a)
         return _finite(_cholesky_inverse(lower))
@@ -346,7 +341,7 @@ def _address(a: np.ndarray) -> int:
     return ctypes.addressof(ctypes.c_char.from_buffer(a))
 
 
-def _factor_single(a: np.ndarray, floor) -> np.ndarray:
+def _factor_single(a: np.ndarray, floor: float) -> np.ndarray:
     """The lower Cholesky factor of one nonempty square complex matrix,
     whose pivots diag(L)^2 pass the absolute ``floor``, C-ordered in an
     array whose strict upper triangle is unspecified.
@@ -356,7 +351,7 @@ def _factor_single(a: np.ndarray, floor) -> np.ndarray:
     leaves there reads back in C order as U^T, the lower factor of ``a``;
     the pivot check refuses a NaN, which the _work call does not scan for.
     When zpotrf rejects a pivot, a pivot misses the floor, or numpy's
-    OpenBLAS lacks the calls, ``_cholesky`` decides: numpy's factor, zero
+    OpenBLAS lacks the calls, ``_factor_one`` decides: numpy's factor, zero
     above its diagonal, or the refusal that it names for every caller.
     """
     lapack, n = _lapack(), a.shape[0]
@@ -366,7 +361,7 @@ def _factor_single(a: np.ndarray, floor) -> np.ndarray:
                 and np.all(lower.diagonal().real ** 2 > floor)):
             return lower
         del lower
-    return np.ascontiguousarray(_cholesky(a, floor))
+    return np.ascontiguousarray(_factor_one(a, floor, ()))
 
 
 def _finite(inv: np.ndarray) -> np.ndarray:

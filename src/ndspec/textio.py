@@ -4,8 +4,8 @@ Numbers are written in shortest round-trip form with negative zero as
 0.0, and rows in lexicographic order of their leading integer or grid
 columns, each line ended by a newline, to a UTF-8 file or standard
 output. A table is read as UTF-8, with blank and whitespace-only lines
-dropped, and its rows are parsed by one np.loadtxt call into records
-whose fields fix every row's column count.
+dropped, its rows parsed by one np.loadtxt call into records whose fields
+fix every row's column count, and each row scattered into its own cell.
 """
 
 from __future__ import annotations
@@ -102,3 +102,21 @@ def _parse_rows(path, rows: list[str], dtype: np.dtype, delimiter, malformed) ->
                 line = next(ln for ln in block if refused([ln]))
                 break
         raise FileFormatError(f"{path}: {malformed(line.strip())}") from exc
+
+
+def _scatter(path, index, shape, values: np.ndarray, duplicate) -> np.ndarray:
+    """``values``, one row per cell, with row i placed in cell (index[0][i],
+    index[1][i], ...) of an array of ``shape`` and the trailing axes of
+    ``values``; ``index`` yields one integer array per axis, as
+    np.ravel_multi_index takes them. A cell listed more than once raises
+    FileFormatError with ``duplicate(cell, times)``: the first such cell
+    in C order, as a tuple of ints, and its row count."""
+    cells = np.ravel_multi_index(tuple(index), shape)
+    listed = np.bincount(cells)
+    if listed.max() > 1:
+        first = int(np.argmax(listed > 1))
+        cell = tuple(map(int, np.unravel_index(first, shape)))
+        raise FileFormatError(f"{path}: {duplicate(cell, int(listed[first]))}")
+    filled = np.empty_like(values)
+    filled[cells] = values
+    return filled.reshape(shape + values.shape[1:])

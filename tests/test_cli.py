@@ -51,10 +51,12 @@ class TestGen:
             run(["gen", "--noise", "0.1"])
         assert info.value.code == 2
 
-    def test_malformed_peak_is_usage_error(self):
+    @pytest.mark.parametrize("peak", ["nope", "0.1", ":1", "0.1,x:1", "0.1:0.2:1"])
+    def test_malformed_peak_is_usage_error(self, capsys, peak):
         with pytest.raises(SystemExit) as info:
-            run(["gen", "--gamma", "2", "--peak", "nope"])
+            run(["gen", "--gamma", "2", "--peak", peak])
         assert info.value.code == 2
+        assert "expected f0,f1,...:power" in capsys.readouterr().err
 
     def test_invalid_power_is_usage_error(self, tmp_path):
         out = tmp_path / "x"
@@ -357,6 +359,14 @@ class TestSpectrumRefusals:
         spectrum.write_text(SPECTRUM_REFUSALS[case])
         assert run(["slice", str(spectrum)]) == 4
         assert message in capsys.readouterr().err
+
+    def test_first_repeated_cell_in_c_order_is_named_with_its_count(self, tmp_path, capsys):
+        # (2/3, 0.5) three times, listed first, then (0, 0) twice
+        spectrum = tmp_path / "bad.csv"
+        spectrum.write_text("f_0,f_1,power\n" + 3 * f"{2 / 3!r},0.5,1.0\n"
+                            + f"{1 / 3!r},0.0,1.0\n" + 2 * "0.0,0.0,1.0\n")
+        assert run(["slice", str(spectrum)]) == 4
+        assert "the cell at (0.0, 0.0) is listed 2 times" in capsys.readouterr().err
 
     def test_blank_lines_and_crlf_are_accepted(self, tmp_path):
         from ndspec.cli import _load_spectrum_csv

@@ -18,12 +18,11 @@ from ndspec import (
     assemble,
     estimate_correlation,
     load_ndcorr,
-    ndcorr_lines,
     save_ndcorr,
     synth_correlation,
     walking_map,
 )
-from ndspec.correlation import NDCORR_MAGIC
+from ndspec.correlation import NDCORR_MAGIC, _ndcorr_lines
 from ndspec.indexing import digits
 from ndspec.errors import (
     DimensionMismatch,
@@ -375,7 +374,7 @@ class TestNdcorrFile:
     def test_lines_match_per_line_reference(self, tmp_path, seed, gamma):
         c = signed_zero_correlation(seed, gamma)
         assert np.signbit(c.lags.real[c.lags.real == 0]).any()
-        lines = ndcorr_lines(c)
+        lines = _ndcorr_lines(c)
         assert lines == reference_ndcorr_lines(c)
         path = tmp_path / "c.ndcorr"
         save_ndcorr(c, path)
@@ -428,7 +427,7 @@ class TestNdcorrFile:
 
     def test_crlf_and_whitespace_only_lines_are_accepted(self, tmp_path):
         c = random_correlation(np.random.default_rng(3), (2, 3))
-        lines = ndcorr_lines(c)
+        lines = _ndcorr_lines(c)
         loose = ["", "  " + lines[0] + " ", "\t", lines[1], *lines[2:6], " \t ", "",
                  *["  " + ln + "\t" for ln in lines[6:]], "   "]
         path = tmp_path / "loose.ndcorr"
@@ -468,11 +467,18 @@ class TestNdcorrFile:
             load_ndcorr(path)
         assert message in str(info.value)
 
+    def test_first_repeated_lag_in_lexicographic_order_is_named(self, tmp_path):
+        # lag (2,) three times, listed first, then (-1,) twice
+        path = tmp_path / "bad"
+        path.write_text("ndcorr 1\ngamma: 3\n" + 3 * "2 0.5 0.0\n" + 2 * "-1 0.5 0.0\n")
+        with pytest.raises(FileFormatError, match=r"duplicate lag \(-1,\)$"):
+            load_ndcorr(path)
+
     def test_refusal_names_the_first_malformed_line(self, tmp_path):
         # 1 521 lag lines: the scan passes whole blocks of 256 before it
         # reaches the block with the two refused lines it must choose from
         c = random_correlation(np.random.default_rng(8), (20, 20))
-        lines = ndcorr_lines(c)
+        lines = _ndcorr_lines(c)
         for row in (1000, 1010):
             lines[2 + row] = "x " + lines[2 + row]
         lines[2 + 1400] = lines[2 + 1400] + " 0.0"
