@@ -10,8 +10,10 @@ timed run is a fresh interpreter, ``python -m ndspec`` with only the
 tree's ``src`` on its path, so imports and first-call costs count, as a
 user's cold start pays them. The input is the README's synthetic cube at
 orders (4,4,4), generated once by the change tree; the commands are
-``estimate`` on a 32^3 grid, the same with ``--method capon``, and
-``match`` of the tree's own estimate. Runs of the two trees alternate,
+``gen`` of the same cube with ``--symmetrize``, ``estimate`` on a 32^3
+grid, the same with ``--method capon``, and ``match`` and ``slice`` (the
+first axis pinned to index 6) of the tree's own estimate, so every text
+writer and both readers are compared. Runs of the two trees alternate,
 which goes first alternates too, after one untimed run of each command
 per tree. For each command it prints each side's median and quartiles in
 seconds, the pairs the change won, and whether the two trees' output
@@ -29,15 +31,19 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-GEN = ["gen", "--gamma", "4,4,4", "--peak", "0.1,0.3,0.7:1", "--peak", "0.1,0.6,0.2:1",
-       "--plane", "0:0.6:1", "--noise", "0.1", "--out", "cube.ndcorr"]
+CUBE = ["gen", "--gamma", "4,4,4", "--peak", "0.1,0.3,0.7:1", "--peak", "0.1,0.6,0.2:1",
+        "--plane", "0:0.6:1", "--noise", "0.1"]
+GEN = [*CUBE, "--out", "cube.ndcorr"]
 GRID = ["--grid", "32,32,32"]
 COMMANDS = {
+    "gen --symmetrize": lambda side: [*CUBE, "--symmetrize", "--out", f"{side}_gen.ndcorr"],
     "estimate": lambda side: ["estimate", "cube.ndcorr", *GRID, "--out", f"{side}_estimate.csv"],
     "estimate --method capon": lambda side: ["estimate", "cube.ndcorr", *GRID, "--method",
                                              "capon", "--out", f"{side}_capon.csv"],
     "match": lambda side: ["match", f"{side}_estimate.csv", "cube.ndcorr",
                            "--out", f"{side}_match.csv"],
+    "slice": lambda side: ["slice", f"{side}_estimate.csv", "--fix", "0=6",
+                           "--out", f"{side}_slice.csv"],
 }
 
 

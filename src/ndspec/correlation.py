@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, FileFormatError, InsufficientData
 from .indexing import DimSpec, Nesting, digits
-from .textio import _csv_rows, _lag_prefixes, _parse_rows, _read_table, _scatter, _write_lines
+from .textio import _lag_keys, _read_table, _scatter, _table_text, _write_text
 
 # Loader / constructor tolerance for Hermitian symmetry, relative to the
 # largest lag magnitude.
@@ -297,22 +297,21 @@ def assemble(c: CorrelationSignal, nesting: Nesting | None = None) -> BlockToepl
     return BlockToeplitzMatrix(spec, nesting, entries)
 
 
-def _ndcorr_lines(c: CorrelationSignal) -> list[str]:
-    """Text lines of the ``ndcorr 1`` format.
+def _ndcorr_text(c: CorrelationSignal):
+    """The ``ndcorr 1`` format, block by block, as ``textio._table_text``
+    yields it.
 
     Line 1 is the magic, line 2 the orders, then one line per lag tuple
     in lexicographic order: the integer lag components followed by the
     real and imaginary parts.
     """
-    flat = c.lags.ravel()
-    values = _csv_rows(np.stack([flat.real, flat.imag], axis=1), " ")
-    return [NDCORR_MAGIC, "gamma: " + " ".join(str(g) for g in c.gamma),
-            *map(str.__add__, _lag_prefixes(c.gamma, " "), values)]
+    return _table_text([NDCORR_MAGIC, "gamma: " + " ".join(str(g) for g in c.gamma)],
+                       c.lags.reshape(-1, 1).view(float), _lag_keys(c.gamma, " "), " ")
 
 
 def save_ndcorr(c: CorrelationSignal, path) -> None:
     """Write the ``ndcorr 1`` text format to a file, or to stdout if ``path`` is None."""
-    _write_lines(path, _ndcorr_lines(c))
+    _write_text(path, _ndcorr_text(c))
 
 
 def load_ndcorr(path) -> CorrelationSignal:
@@ -322,25 +321,28 @@ def load_ndcorr(path) -> CorrelationSignal:
     then two float columns, and checked as arrays: the row count, every
     lag inside the box, and no lag listed twice.
     """
-    head, rows = _read_table(path, 2)
-    if not head or head[0] != NDCORR_MAGIC:
-        raise FileFormatError(f"{path}: missing '{NDCORR_MAGIC}' header line")
-    if len(head) < 2 or not head[1].startswith("gamma:"):
-        raise FileFormatError(f"{path}: missing 'gamma:' line")
-    try:
-        gamma = tuple(int(tok) for tok in head[1].split()[1:])
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: malformed gamma line: {head[1]!r}") from exc
-    if not gamma or any(g < 1 for g in gamma):
-        raise FileFormatError(f"{path}: invalid orders {gamma}")
+    gamma = ()
+
+    def layout(head, rows):
+        nonlocal gamma
+        if not head or head[0] != NDCORR_MAGIC:
+            raise FileFormatError(f"{path}: missing '{NDCORR_MAGIC}' header line")
+        if len(head) < 2 or not head[1].startswith("gamma:"):
+            raise FileFormatError(f"{path}: missing 'gamma:' line")
+        try:
+            gamma = tuple(int(tok) for tok in head[1].split()[1:])
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: malformed gamma line: {head[1]!r}") from exc
+        if not gamma or any(g < 1 for g in gamma):
+            raise FileFormatError(f"{path}: invalid orders {gamma}")
+        expected_rows = math.prod(2 * g - 1 for g in gamma)
+        if rows is not None and rows != expected_rows:
+            raise FileFormatError(f"{path}: expected {expected_rows} lag lines, found {rows}")
+        return np.dtype([("lag", np.int64, (len(gamma),)), ("value", np.float64, (2,))])
+
+    table = _read_table(path, 2, None, layout,
+                        lambda head, line: f"malformed lag line: {line!r}")
     shape = tuple(2 * g - 1 for g in gamma)
-    expected_rows = math.prod(shape)
-    if len(rows) != expected_rows:
-        raise FileFormatError(
-            f"{path}: expected {expected_rows} lag lines, found {len(rows)}"
-        )
-    dtype = np.dtype([("lag", np.int64, (len(gamma),)), ("value", np.float64, (2,))])
-    table = _parse_rows(path, rows, dtype, None, lambda line: f"malformed lag line: {line!r}")
     lags, reach = table["lag"], np.array(gamma) - 1
     outside = ((lags < -reach) | (lags > reach)).any(axis=1)
     if outside.any():

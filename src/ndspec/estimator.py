@@ -326,7 +326,7 @@ def _forward_predictor(c: CorrelationSignal) -> tuple[np.ndarray, np.ndarray]:
     pairs_per_step = max(1, _PAIR_BYTES // (2 * x[0].nbytes))
     for n in range(g):
         try:
-            lower = _factor_single(p[::-1, ::-1].conj(), floor)
+            lower = _factor_single(p[::-1, ::-1].conj, floor)
         except NotPositiveDefinite as exc:
             raise replace(exc, pivot_index=n * h + exc.pivot_index).tagged(1, ()) from exc
         if n == g - 1:

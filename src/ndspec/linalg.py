@@ -263,7 +263,7 @@ def invert_pd(h) -> np.ndarray:
     with one_blas_thread:
         # cholesky refuses a non-square matrix before any pointer is passed
         if a.ndim == 2 and a.size and a.shape[0] == a.shape[1]:
-            lower = _factor_single(a, PD_PIVOT_REL * float(np.max(a.diagonal().real)))
+            lower = _factor_single(a.copy, PD_PIVOT_REL * float(np.max(a.diagonal().real)))
         else:
             lower = cholesky(a)
         return _finite(_cholesky_inverse(lower))
@@ -341,27 +341,30 @@ def _address(a: np.ndarray) -> int:
     return ctypes.addressof(ctypes.c_char.from_buffer(a))
 
 
-def _factor_single(a: np.ndarray, floor: float) -> np.ndarray:
+def _factor_single(form, floor: float) -> np.ndarray:
     """The lower Cholesky factor of one nonempty square complex matrix,
     whose pivots diag(L)^2 pass the absolute ``floor``, C-ordered in an
     array whose strict upper triangle is unspecified.
 
-    zpotrf factors one C-ordered copy of ``a`` in place: read column-major,
-    the copy is a^T = conj(a), and the upper factor U of conj(a) that it
-    leaves there reads back in C order as U^T, the lower factor of ``a``;
-    the pivot check refuses a NaN, which the _work call does not scan for.
-    When zpotrf rejects a pivot, a pivot misses the floor, or numpy's
-    OpenBLAS lacks the calls, ``_factor_one`` decides: numpy's factor, zero
-    above its diagonal, or the refusal that it names for every caller.
+    ``form()`` returns a new C-ordered copy of the matrix ``a``, which
+    this function owns: zpotrf factors it in place. Read column-major,
+    that copy is a^T = conj(a), and the upper factor U of conj(a) that
+    zpotrf leaves there reads back in C order as U^T, the lower factor of
+    ``a``; the pivot check refuses a NaN, which the _work call does not
+    scan for. When zpotrf rejects a pivot, a pivot misses the floor, or
+    numpy's OpenBLAS lacks the calls, ``_factor_one`` decides on a copy
+    formed afresh: numpy's factor, zero above its diagonal, or the refusal
+    that it names for every caller.
     """
-    lapack, n = _lapack(), a.shape[0]
+    lapack = _lapack()
     if lapack is not None:
-        lower = a.copy()
+        lower = form()
+        n = lower.shape[0]
         if (lapack.zpotrf(_COLUMN_MAJOR, b"U", n, _address(lower), n) == 0
                 and np.all(lower.diagonal().real ** 2 > floor)):
             return lower
         del lower
-    return np.ascontiguousarray(_factor_one(a, floor, ()))
+    return np.ascontiguousarray(_factor_one(form(), floor, ()))
 
 
 def _finite(inv: np.ndarray) -> np.ndarray:

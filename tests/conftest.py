@@ -59,6 +59,15 @@ def signed_zero_correlation(seed, gamma) -> CorrelationSignal:
     return CorrelationSignal(gamma, lags)
 
 
+def several_block_signal(seed) -> CorrelationSignal:
+    """A signal of 4 913 lags, more than one block of the table writer, with
+    signed zeros and the pair 1e-05 -/+ 1e+16j after the first block."""
+    lags = signed_zero_correlation(seed, (9, 9, 9)).lags.copy()
+    flat = lags.reshape(-1)
+    flat[100], flat[-101] = complex(1e-05, -1e16), complex(1e-05, 1e16)
+    return CorrelationSignal((9, 9, 9), lags)
+
+
 def random_correlation_1d(rng, order, n_peaks=3, noise_floor=0.2) -> CorrelationSignal:
     return random_correlation(rng, (order,), n_peaks, noise_floor)
 

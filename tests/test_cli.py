@@ -1,10 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import run_fresh, signed_zero_correlation
-from ndspec import CorrelationSignal, load_ndcorr, save_ndcorr
+from conftest import run_fresh, several_block_signal, signed_zero_correlation
+from ndspec import CorrelationSignal, FileFormatError, load_ndcorr, save_ndcorr
 from ndspec.cli import main
 
 VI_GEN = [
@@ -472,24 +473,26 @@ class TestWriters:
     @pytest.mark.parametrize("counts", [(1,), (7,), (3, 5), (2, 3, 4)])
     def test_spectrum_lines_match_per_cell_reference(self, tmp_path, counts, special):
         from ndspec import SpectralGridSpec, SpectrumEstimate
-        from ndspec.cli import _load_spectrum_csv, _spectrum_lines, _write_lines
+        from ndspec.cli import _load_spectrum_csv, _spectrum_text, _write_text
 
         rng = np.random.default_rng(len(counts))
         power = np.exp(rng.uniform(-700.0, 700.0, size=counts))
         power.flat[-1] = special
         spectrum = SpectrumEstimate(SpectralGridSpec(counts), power)
-        lines = _spectrum_lines(spectrum)
+        lines = "".join(_spectrum_text(spectrum)).splitlines()
         assert lines == reference_spectrum_lines(counts, power)
         path = tmp_path / "spec.csv"
-        _write_lines(path, lines)
+        _write_text(path, _spectrum_text(spectrum))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
         loaded = _load_spectrum_csv(path)
         assert loaded.grid.counts == counts
         assert np.array_equal(loaded.power, power)
 
-    def test_csv_rows_collapse_negative_zero(self):
-        from ndspec.cli import _csv_rows
+    def test_table_text_collapses_negative_zero(self):
+        from ndspec.textio import _table_text
 
-        assert _csv_rows([[-0.0, 1.5], [0.1, -2.0]]) == ["0.0,1.5", "0.1,-2.0"]
+        text = "".join(_table_text([], [[-0.0, 1.5], [0.1, -2.0]]))
+        assert text == "0.0,1.5\n0.1,-2.0\n"
 
     def test_match_and_slice_match_per_value_reference(self, tmp_path):
         from ndspec import correlation_match
@@ -518,16 +521,157 @@ class TestWriters:
     ])
     def test_match_bytes_match_per_record_reference(self, tmp_path, seed, gamma, counts):
         from ndspec import SpectralGridSpec, SpectrumEstimate, correlation_match, save_ndcorr
-        from ndspec.cli import _load_spectrum_csv, _spectrum_lines, _write_lines
+        from ndspec.cli import _load_spectrum_csv, _spectrum_text, _write_text
 
         corr, spec, out = tmp_path / "c.ndcorr", tmp_path / "s.csv", tmp_path / "m.csv"
         save_ndcorr(signed_zero_correlation(seed, gamma), corr)
         power = np.exp(np.random.default_rng(seed).uniform(-5.0, 5.0, size=counts))
-        _write_lines(spec, _spectrum_lines(SpectrumEstimate(SpectralGridSpec(counts), power)))
+        _write_text(spec, _spectrum_text(SpectrumEstimate(SpectralGridSpec(counts), power)))
         assert run(["match", str(spec), str(corr), "--out", str(out)]) == 0
         report = correlation_match(_load_spectrum_csv(spec), load_ndcorr(corr))
         assert {entry.mode for entry in report.per_lag} == {"abs", "rel"}
         assert out.read_bytes() == ("\n".join(reference_match_lines(report)) + "\n").encode()
+
+
+class TestWritersOverSeveralBlocks:
+    """The match and slice tables, longer than one block of the writer,
+    against the per-value reference."""
+
+    def test_match_bytes(self, tmp_path, monkeypatch):
+        from ndspec import cli, correlation_match
+        from ndspec.textio import _BLOCK_ROWS
+
+        spec, out = tmp_path / "s.csv", tmp_path / "m.csv"
+        counts = (17, 17, 17)
+        power = np.exp(np.random.default_rng(31).uniform(-5.0, 5.0, size=counts))
+        spec.write_text("\n".join(reference_spectrum_lines(counts, power)) + "\n")
+        # the signal itself, not its file, whose writer has already dropped the signs
+        signal = several_block_signal(31)
+        monkeypatch.setattr(cli, "load_ndcorr", lambda path: signal)
+        assert run(["match", str(spec), "unread.ndcorr", "--out", str(out)]) == 0
+        report = correlation_match(cli._load_spectrum_csv(spec), signal)
+        later = report.per_lag[_BLOCK_ROWS:]
+        assert np.signbit(later.original.real[later.original.real == 0]).any()
+        assert 1e-05 in later.original.real and 1e16 in later.original.imag
+        assert out.read_bytes() == ("\n".join(reference_match_lines(report)) + "\n").encode()
+
+    def test_slice_bytes(self, tmp_path, capsys):
+        from ndspec.textio import _BLOCK_ROWS, _table_text
+
+        counts = (_BLOCK_ROWS + 5, 2)
+        power = np.exp(np.random.default_rng(32).uniform(-5.0, 5.0, size=counts))
+        power[-3:, 0] = 1e-05, 1e16, 5e-324
+        spec, out = tmp_path / "s.csv", tmp_path / "p.csv"
+        spec.write_text("\n".join(reference_spectrum_lines(counts, power)) + "\n")
+        expected = "".join(",".join(fmt(v) for v in row) + "\n" for row in power)
+        assert run(["slice", str(spec), "--out", str(out)]) == 0
+        assert out.read_text() == expected
+        capsys.readouterr()
+        assert run(["slice", str(spec)]) == 0
+        assert capsys.readouterr().out == expected
+        # the same writer with negative zeros past its first block
+        power[-2:] = -0.0
+        assert "".join(_table_text([], power)) == "".join(
+            ",".join(fmt(v) for v in row) + "\n" for row in power)
+
+
+# faults placed past the first block of a table: its data lines are
+# ``lines[head:]``, and row ``k`` (counted from the first line) is the one changed
+TABLE_FAULTS = ["blank line", "whitespace-only line", "CRLF", "blank lines before the header",
+                "malformed row", "non-UTF-8 byte"]
+
+
+def faulty_table(path, lines, fault, k):
+    """Write ``lines`` to ``path`` with ``fault`` at line ``k``; the offset
+    of a non-UTF-8 byte is returned, else None."""
+    if fault == "CRLF":
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        return None
+    if fault == "blank lines before the header":
+        path.write_bytes(("\n \t\n\n" + "\n".join(lines) + "\n").encode())
+        return None
+    before = ("\n".join(lines[:k]) + "\n").encode()
+    rest = ("\n".join(lines[k:]) + "\n").encode()
+    inserted = {"blank line": b"\n", "whitespace-only line": b" \t \n",
+                "malformed row": b"x", "non-UTF-8 byte": b"\xff"}[fault]
+    path.write_bytes(before + inserted + rest)
+    return len(before) if fault == "non-UTF-8 byte" else None
+
+
+class TestReadersOverSeveralBlocks:
+    """Both readers on tables longer than one writer block with a fault past
+    the first block: an accepted table gives the clean table's array, a
+    refused one the whole-text parse's message."""
+
+    @pytest.mark.parametrize("fault", TABLE_FAULTS)
+    def test_spectrum_csv(self, tmp_path, fault):
+        from ndspec.cli import _load_spectrum_csv
+
+        counts = (17, 16, 16)  # 4 352 rows
+        power = np.exp(np.random.default_rng(33).uniform(-5.0, 5.0, size=counts))
+        lines = reference_spectrum_lines(counts, power)
+        path, k = tmp_path / "s.csv", 4200
+        offset = faulty_table(path, lines, fault, k)
+        if fault == "malformed row":
+            expected = "malformed data row"
+        elif fault == "non-UTF-8 byte":
+            expected = f"not UTF-8 text at byte {offset}"
+        else:
+            assert np.array_equal(_load_spectrum_csv(path).power, power)
+            return
+        with pytest.raises(FileFormatError) as info:
+            _load_spectrum_csv(path)
+        assert str(info.value) == f"{path}: {expected}"
+
+    @pytest.mark.parametrize("fault", TABLE_FAULTS)
+    def test_ndcorr(self, tmp_path, fault):
+        signal = several_block_signal(34)
+        clean = tmp_path / "clean.ndcorr"
+        save_ndcorr(signal, clean)
+        lines = clean.read_text().splitlines()
+        path, k = tmp_path / "c.ndcorr", 4500
+        offset = faulty_table(path, lines, fault, k)
+        if fault == "malformed row":
+            expected = f"malformed lag line: {'x' + lines[k]!r}"
+        elif fault == "non-UTF-8 byte":
+            expected = f"not UTF-8 text at byte {offset}"
+        else:
+            assert np.array_equal(load_ndcorr(path).lags, signal.lags)
+            return
+        with pytest.raises(FileFormatError) as info:
+            load_ndcorr(path)
+        assert str(info.value) == f"{path}: {expected}"
+
+
+class TestTableMemory:
+    def test_reading_a_cube_csv_peaks_under_80_bytes_per_row(self, tmp_path):
+        from ndspec.cli import _load_spectrum_csv
+
+        counts = (32, 32, 32)
+        power = np.exp(np.random.default_rng(35).uniform(-5.0, 5.0, size=counts))
+        path = tmp_path / "s.csv"
+        path.write_text("\n".join(reference_spectrum_lines(counts, power)) + "\n")
+        tracemalloc.start()
+        try:
+            loaded = _load_spectrum_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.power, power)
+        assert peak <= 80 * power.size
+
+    def test_writer_peak_holds_one_block(self, tmp_path):
+        # about 2 and about 4 blocks of 4 096 lag lines: 63 x 129 and 127 x 129
+        peaks = []
+        for gamma in ((1, 32, 65), (1, 64, 65)):
+            signal = CorrelationSignal(gamma, np.zeros([2 * g - 1 for g in gamma]))
+            tracemalloc.start()
+            try:
+                save_ndcorr(signal, tmp_path / "c.ndcorr")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 
 
 class TestSlice:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import random_correlation, signed_zero_correlation
+from conftest import random_correlation, several_block_signal, signed_zero_correlation
 from ndspec import (
     CorrelationSignal,
     DimSpec,
@@ -22,7 +22,7 @@ from ndspec import (
     synth_correlation,
     walking_map,
 )
-from ndspec.correlation import NDCORR_MAGIC, _ndcorr_lines
+from ndspec.correlation import NDCORR_MAGIC, _ndcorr_text
 from ndspec.indexing import digits
 from ndspec.errors import (
     DimensionMismatch,
@@ -358,6 +358,11 @@ class TestPositiveDefiniteCheck:
         cholesky(assemble(c).entries)
 
 
+def ndcorr_lines(c):
+    """The lines of the ``ndcorr 1`` text of ``c``."""
+    return "".join(_ndcorr_text(c)).splitlines()
+
+
 def reference_ndcorr_lines(c):
     """The ``ndcorr 1`` text formatted one lag line at a time."""
     lines = [NDCORR_MAGIC, "gamma: " + " ".join(str(g) for g in c.gamma)]
@@ -374,12 +379,30 @@ class TestNdcorrFile:
     def test_lines_match_per_line_reference(self, tmp_path, seed, gamma):
         c = signed_zero_correlation(seed, gamma)
         assert np.signbit(c.lags.real[c.lags.real == 0]).any()
-        lines = _ndcorr_lines(c)
+        lines = ndcorr_lines(c)
         assert lines == reference_ndcorr_lines(c)
         path = tmp_path / "c.ndcorr"
         save_ndcorr(c, path)
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
         assert np.array_equal(load_ndcorr(path).lags, c.lags)
+
+    def test_lines_match_per_line_reference_over_several_blocks(self, tmp_path, capsys):
+        from ndspec.textio import _BLOCK_ROWS
+
+        c = several_block_signal(15)
+        flat = c.lags.reshape(-1)
+        later = flat[_BLOCK_ROWS:]
+        assert np.signbit(later.real[later.real == 0]).any()
+        lines = ndcorr_lines(c)
+        assert lines == reference_ndcorr_lines(c)
+        assert lines[2 + flat.size - 101].endswith(" 1e-05 1e+16")
+        text = ("\n".join(lines) + "\n").encode()
+        path = tmp_path / "c.ndcorr"
+        save_ndcorr(c, path)
+        assert path.read_bytes() == text
+        capsys.readouterr()
+        save_ndcorr(c, None)
+        assert capsys.readouterr().out.encode() == text
 
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -427,7 +450,7 @@ class TestNdcorrFile:
 
     def test_crlf_and_whitespace_only_lines_are_accepted(self, tmp_path):
         c = random_correlation(np.random.default_rng(3), (2, 3))
-        lines = _ndcorr_lines(c)
+        lines = ndcorr_lines(c)
         loose = ["", "  " + lines[0] + " ", "\t", lines[1], *lines[2:6], " \t ", "",
                  *["  " + ln + "\t" for ln in lines[6:]], "   "]
         path = tmp_path / "loose.ndcorr"
@@ -478,7 +501,7 @@ class TestNdcorrFile:
         # 1 521 lag lines: the scan passes whole blocks of 256 before it
         # reaches the block with the two refused lines it must choose from
         c = random_correlation(np.random.default_rng(8), (20, 20))
-        lines = _ndcorr_lines(c)
+        lines = ndcorr_lines(c)
         for row in (1000, 1010):
             lines[2 + row] = "x " + lines[2 + row]
         lines[2 + 1400] = lines[2 + 1400] + " 0.0"

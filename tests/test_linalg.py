@@ -341,7 +341,7 @@ def test_the_zpotrf_factor_is_numpys():
     rng = np.random.default_rng(26)
     for n in (1, 5, 64, 129):
         h = random_pd_matrix(rng, n)
-        lower = np.tril(linalg._factor_single(h, linalg.PD_PIVOT_REL * h.diagonal().real.max()))
+        lower = np.tril(linalg._factor_single(h.copy, linalg.PD_PIVOT_REL * h.diagonal().real.max()))
         factor = cholesky(h)
         assert lower.flags.c_contiguous
         assert np.max(np.abs(lower - factor)) <= 1e-13 * np.max(np.abs(factor))
